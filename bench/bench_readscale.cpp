@@ -6,15 +6,13 @@
 //   ./bench_readscale [--readscale_json=BENCH_readscale.json]
 //
 // (tools/run_readscale_bench.sh wraps this.) The point under test: the
-// pessimistic descent locks+unlocks a mutex+condvar RwLatch per page per
-// read (~3.0 page-latch acquisitions/op measured) — shared-cache-line
-// traffic that serializes readers across cores — while the optimistic
-// descent validates frame versions instead and touches only the leaf latch
+// pessimistic descent latches every page on the path (~3.0 page-latch
+// acquisitions/op measured), each a read-modify-write of that latch word's
+// shared cache line, while the optimistic descent only loads the words
+// above the leaf to validate their versions and latches just the leaf
 // (~1.1/op). Each row carries the latch-wait and read-descent histograms
 // plus the olc_* and page_latch_acquisitions counter deltas so the
-// mechanism, not just the throughput, is visible; on a single-core host
-// the throughputs land at parity (no cross-core contention exists to
-// remove) and the per-op latch counts are the evidence — see
+// mechanism, not just the throughput, is visible — see
 // docs/CONCURRENCY.md, "Knobs, metrics, evidence". Locking protocol is
 // kNone and the tree is fully cached: the physical (latch) path is
 // isolated from the orthogonal logical-lock and I/O paths, which are

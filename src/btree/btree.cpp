@@ -827,11 +827,8 @@ Status BTree::DeleteAtLeaf(Transaction* txn, PageGuard leaf,
   bool boundary = (pos == 0 || pos + 1 == v.slot_count());
 
   if (only_key && !tree_latch_x_held) {
-    // Page-delete SMO needed: take the tree latch X (conditionally while
-    // latched; otherwise release, wait, retry with the latch held).
-    if (tree_latch_.TryLockExclusive()) {
-      tree_latch_.UnlockExclusive();  // re-taken by the caller via retry
-    }
+    // Page-delete SMO needed: release the leaf; the caller retries with
+    // the tree latch held X.
     leaf.Release();
     *needs_tree_x = true;
     return Status::Retry("need-tree-x");
@@ -846,8 +843,7 @@ Status BTree::DeleteAtLeaf(Transaction* txn, PageGuard leaf,
       if (ctx_->metrics != nullptr) {
         ctx_->metrics->smo_waits.fetch_add(1, std::memory_order_relaxed);
       }
-      tree_latch_.LockShared();
-      tree_latch_.UnlockShared();
+      tree_latch_.LockInstant(LatchMode::kShared);
       return Status::Retry("boundary-posc");
     }
     tree_s_held = true;

@@ -12,7 +12,7 @@
 // in-place page writes *by protocol* (the seqlock validation discards torn
 // copies before anything parses them), so under TSan the copy is excluded
 // from instrumentation and bracketed with ignore-reads annotations. See
-// docs/CONCURRENCY.md, "Optimistic descent and ThreadSanitizer".
+// docs/CONCURRENCY.md, "Memory model and TSan".
 #if defined(__SANITIZE_THREAD__)
 #define ARIESIM_TSAN 1
 #elif defined(__has_feature)
@@ -32,20 +32,6 @@ extern "C" void AnnotateIgnoreReadsEnd(const char* file, int line);
 namespace ariesim {
 
 namespace {
-
-/// Mark an X-latch hold on `f` as started/finished for optimistic readers.
-/// BeginFrameWrite makes the version odd before the holder's first data
-/// write can become visible; EndFrameWrite makes it even again only after
-/// every data write is visible (release ordering). X holders are serialized
-/// by the frame latch itself, so the two fetch_adds never interleave.
-void BeginFrameWrite(Frame* f) {
-  f->version.fetch_add(1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-}
-
-void EndFrameWrite(Frame* f) {
-  f->version.fetch_add(1, std::memory_order_release);
-}
 
 /// The latch-free page copy. Intentionally races with the X holder's plain
 /// writes; the surrounding version checks reject any copy a writer
@@ -101,15 +87,7 @@ void PageGuard::MarkDirty(Lsn lsn) {
 
 void PageGuard::Release() {
   if (frame_ != nullptr) {
-    if (mode_ == LatchMode::kExclusive) EndFrameWrite(frame_);
     frame_->latch.Unlock(mode_);
-    pool_->Unpin(frame_);
-    frame_ = nullptr;
-  }
-}
-
-void PinGuard::Release() {
-  if (frame_ != nullptr) {
     pool_->Unpin(frame_);
     frame_ = nullptr;
   }
@@ -329,26 +307,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id, LatchMode mode) {
   if (metrics_ != nullptr) {
     metrics_->page_latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
   }
-  if (mode == LatchMode::kExclusive) BeginFrameWrite(f);
   return PageGuard(this, f, mode);
-}
-
-Result<PageGuard> BufferPool::TryFetchPage(PageId id, LatchMode mode) {
-  ARIES_ASSIGN_OR_RETURN(Frame * f, FetchFrame(id));
-  if (!f->latch.TryLock(mode)) {
-    Unpin(f);
-    return Status::Busy("page latch busy");
-  }
-  if (metrics_ != nullptr) {
-    metrics_->page_latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (mode == LatchMode::kExclusive) BeginFrameWrite(f);
-  return PageGuard(this, f, mode);
-}
-
-Result<PinGuard> BufferPool::PinPage(PageId id) {
-  ARIES_ASSIGN_OR_RETURN(Frame * f, FetchFrame(id));
-  return PinGuard(this, f);
 }
 
 Result<OptimisticPageGuard> BufferPool::FetchPageOptimistic(PageId id) {
@@ -357,8 +316,8 @@ Result<OptimisticPageGuard> BufferPool::FetchPageOptimistic(PageId id) {
 }
 
 bool OptimisticPageGuard::TrySnapshot(char* dst, uint64_t* version_out) const {
-  uint64_t v1 = frame_->version.load(std::memory_order_acquire);
-  if ((v1 & 1) != 0) return false;  // an X holder is mid-write
+  uint64_t v;
+  if (!frame_->latch.ReadVersion(&v)) return false;  // an X holder is active
 #if ARIESIM_TSAN
   AnnotateIgnoreReadsBegin(__FILE__, __LINE__);
 #endif
@@ -366,16 +325,9 @@ bool OptimisticPageGuard::TrySnapshot(char* dst, uint64_t* version_out) const {
 #if ARIESIM_TSAN
   AnnotateIgnoreReadsEnd(__FILE__, __LINE__);
 #endif
-  std::atomic_thread_fence(std::memory_order_acquire);
-  if (frame_->version.load(std::memory_order_relaxed) != v1) return false;
-  *version_out = v1;
+  if (!frame_->latch.Validate(v)) return false;
+  *version_out = v;
   return true;
-}
-
-bool OptimisticPageGuard::Validate(uint64_t version) const {
-  // Orders every read made since the snapshot before the version re-check.
-  std::atomic_thread_fence(std::memory_order_acquire);
-  return frame_->version.load(std::memory_order_relaxed) == version;
 }
 
 void OptimisticPageGuard::Release() {

@@ -8,7 +8,6 @@
 // RAII PageGuards which also hold the pin.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <list>
@@ -36,15 +35,9 @@ struct Frame {
   int pin_count = 0;    // protected by pool mutex
   bool dirty = false;   // protected by pool mutex
   Lsn rec_lsn = kNullLsn;  ///< LSN that first dirtied the page (for the DPT)
+  /// The page latch; its version is the optimistic readers' seqlock. Guards
+  /// hold a pin, so a version never aliases across pages.
   RwLatch latch;
-  /// Seqlock-style frame version for the optimistic read path (see
-  /// docs/CONCURRENCY.md, "Optimistic descent"): odd exactly while an X
-  /// latch on this frame is held, bumped on X acquire and again on X
-  /// release. An OptimisticPageGuard snapshot is consistent iff the version
-  /// was even and identical before and after the copy. Per-frame, not
-  /// per-page: guards hold a pin, so the frame↔page binding cannot change
-  /// under a live guard and the counter never aliases across pages.
-  std::atomic<uint64_t> version{0};
 };
 
 class BufferPool;
@@ -78,38 +71,12 @@ class PageGuard {
   LatchMode mode_ = LatchMode::kShared;
 };
 
-/// RAII pin without a latch (used to "fix needed pages in the buffer pool"
-/// before acquiring the tree latch, paper Figure 8).
-class PinGuard {
- public:
-  PinGuard() = default;
-  PinGuard(BufferPool* pool, Frame* frame) : pool_(pool), frame_(frame) {}
-  ~PinGuard() { Release(); }
-  PinGuard(const PinGuard&) = delete;
-  PinGuard& operator=(const PinGuard&) = delete;
-  PinGuard(PinGuard&& o) noexcept { *this = std::move(o); }
-  PinGuard& operator=(PinGuard&& o) noexcept {
-    if (this != &o) {
-      Release();
-      pool_ = o.pool_;
-      frame_ = o.frame_;
-      o.frame_ = nullptr;
-    }
-    return *this;
-  }
-  void Release();
-  bool valid() const { return frame_ != nullptr; }
-
- private:
-  BufferPool* pool_ = nullptr;
-  Frame* frame_ = nullptr;
-};
-
 /// Pin-only guard for the optimistic (latch-free) read path. Holds no
 /// latch: the holder may only look at the page through TrySnapshot(), which
 /// copies the bytes and tells whether the copy is consistent, and Validate(),
 /// which re-checks a previously returned version. The pin keeps the
-/// frame↔page binding (and the version counter's meaning) stable. Move-only.
+/// frame↔page binding (and so the latch version's meaning) stable.
+/// Move-only.
 class OptimisticPageGuard {
  public:
   OptimisticPageGuard() = default;
@@ -131,20 +98,21 @@ class OptimisticPageGuard {
     return *this;
   }
 
-  bool valid() const { return frame_ != nullptr; }
   /// Stable while the pin is held (remaps happen only at pin_count == 0).
   PageId page_id() const { return frame_->page_id; }
 
   /// Copy the page into `dst` (page_size() bytes) without latching. Returns
-  /// true iff the copy is consistent — the frame version was even and
-  /// unchanged across the copy — and stores that version in *version_out
+  /// true iff the copy is consistent — no X holder was active at its start
+  /// and none came during it — and stores the latch version in *version_out
   /// for later Validate() calls. On false the contents of `dst` are
   /// unspecified and must not be parsed.
   bool TrySnapshot(char* dst, uint64_t* version_out) const;
 
-  /// True iff the frame version still equals `version`: no X latch has been
-  /// acquired on the frame since the snapshot that returned it.
-  bool Validate(uint64_t version) const;
+  /// True iff no X latch has been acquired on the frame since the snapshot
+  /// that returned `version`.
+  bool Validate(uint64_t version) const {
+    return frame_->latch.Validate(version);
+  }
 
   void Release();
 
@@ -165,10 +133,6 @@ class BufferPool {
 
   /// Pin + latch page `id`, reading it from disk on a miss.
   Result<PageGuard> FetchPage(PageId id, LatchMode mode);
-  /// Conditional variant: kBusy if the latch is not immediately grantable.
-  Result<PageGuard> TryFetchPage(PageId id, LatchMode mode);
-  /// Pin without latching.
-  Result<PinGuard> PinPage(PageId id);
   /// Pin for the optimistic read path: no latch, access only through the
   /// guard's snapshot/validate protocol (docs/CONCURRENCY.md).
   Result<OptimisticPageGuard> FetchPageOptimistic(PageId id);
@@ -255,7 +219,6 @@ class BufferPool {
 
  private:
   friend class PageGuard;
-  friend class PinGuard;
   friend class OptimisticPageGuard;
 
   /// Returns the frame holding `id`, pinned. Caller latches afterwards.

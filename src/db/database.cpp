@@ -369,7 +369,8 @@ Result<Table*> Database::CreateTable(const std::string& name,
   ARIES_RETURN_NOT_OK(Commit(txn));
   ARIES_RETURN_NOT_OK(catalog_->AddTable(meta));
   ARIES_RETURN_NOT_OK(recovery_->TakeCheckpoint());
-  auto heap = std::make_unique<HeapFile>(&ctx_, meta.id, meta.first_page);
+  // Fresh: skips FindChainTail, whose probe fetches other tables' pages.
+  auto heap = std::make_unique<HeapFile>(&ctx_, meta.id, meta.first_page, true);
   auto table =
       std::make_unique<Table>(&ctx_, records_.get(), meta, std::move(heap));
   Table* raw = table.get();

@@ -20,10 +20,12 @@ namespace ariesim {
 
 class HeapFile {
  public:
-  /// `first_page` must already exist (Create) or be the page to adopt.
-  HeapFile(EngineContext* ctx, ObjectId table_id, PageId first_page)
+  /// `first_page` must already exist (Create) or be the page to adopt. A
+  /// `fresh` heap (created this incarnation) has its tail at `first_page`.
+  HeapFile(EngineContext* ctx, ObjectId table_id, PageId first_page,
+           bool fresh = false)
       : ctx_(ctx), table_id_(table_id), first_page_(first_page),
-        insert_hint_(first_page) {}
+        insert_hint_(first_page), hint_warmed_(fresh) {}
 
   /// Allocate and format the first page of a new heap (logged under `txn`).
   static Result<PageId> Create(EngineContext* ctx, ObjectId table_id,
@@ -62,7 +64,7 @@ class HeapFile {
   PageId first_page_;
   std::mutex hint_mu_;
   PageId insert_hint_;
-  bool hint_warmed_ = false;  ///< guarded by hint_mu_; set after tail probe
+  bool hint_warmed_;  ///< guarded by hint_mu_; set after tail probe
 };
 
 }  // namespace ariesim

@@ -1,5 +1,6 @@
 // Buffer-pool tests: fetch/pin/latch, eviction under pressure, the WAL rule
 // (log forced before a dirty steal), dirty-page-table snapshots, crash drop.
+// The concurrent eviction hammer is tests/buffer/pool_hammer_test.cpp.
 #include "buffer/buffer_pool.h"
 
 #include <gtest/gtest.h>
@@ -100,17 +101,6 @@ TEST_F(BufferPoolTest, PoolExhaustionReturnsBusy) {
   EXPECT_TRUE(c.status().IsBusy());
 }
 
-TEST_F(BufferPoolTest, TryFetchRespectsHeldLatch) {
-  auto pool = MakePool(4);
-  auto x = pool->FetchPage(1, LatchMode::kExclusive);
-  ASSERT_TRUE(x.ok());
-  auto s = pool->TryFetchPage(1, LatchMode::kShared);
-  EXPECT_TRUE(s.status().IsBusy());
-  x.value().Release();
-  auto s2 = pool->TryFetchPage(1, LatchMode::kShared);
-  EXPECT_TRUE(s2.ok());
-}
-
 TEST_F(BufferPoolTest, DirtyPageTableTracksRecLsn) {
   auto pool = MakePool(8);
   {
@@ -143,16 +133,44 @@ TEST_F(BufferPoolTest, DropAllLosesUnflushed) {
       << "unflushed page must be gone after a crash-drop";
 }
 
+// The optimistic read path's ABA argument (docs/CONCURRENCY.md, "Why this
+// is safe") rests on this: a pin-only OptimisticPageGuard keeps its frame
+// bound to its page, so the latch version it validates against cannot be
+// recycled by an eviction.
 TEST_F(BufferPoolTest, PinGuardPreventsEviction) {
   auto pool = MakePool(2);
-  auto pin = pool->PinPage(1);
+  {
+    auto g = pool->FetchPage(1, LatchMode::kExclusive);
+    ASSERT_TRUE(g.ok());
+    g.value().view().Init(1, PageType::kHeap, 1, 0);
+    g.value().MarkDirty(1);
+  }
+  auto pin = pool->FetchPageOptimistic(1);
   ASSERT_TRUE(pin.ok());
-  { auto g = pool->FetchPage(2, LatchMode::kShared); ASSERT_TRUE(g.ok()); }
-  // Only one unpinned frame exists; page 1 must still be resident and
-  // fetchable without exhaustion errors from thrashing its frame.
-  { auto g = pool->FetchPage(3, LatchMode::kShared); ASSERT_TRUE(g.ok()); }
-  auto g1 = pool->FetchPage(1, LatchMode::kShared);
-  ASSERT_TRUE(g1.ok());
+  std::vector<char> snap(pool->page_size());
+  uint64_t version = 0;
+  ASSERT_TRUE(pin.value().TrySnapshot(snap.data(), &version));
+  // Pages 2..5 cycle through the one unpinned frame.
+  for (PageId id = 2; id <= 5; ++id) {
+    auto g = pool->FetchPage(id, LatchMode::kShared);
+    ASSERT_TRUE(g.ok()) << "page " << id;
+  }
+  EXPECT_EQ(pin.value().page_id(), 1u);
+  EXPECT_TRUE(pin.value().Validate(version));
+  const uint64_t reads = m_.pages_read.load();
+  {
+    auto g1 = pool->FetchPage(1, LatchMode::kShared);
+    ASSERT_TRUE(g1.ok());
+    EXPECT_EQ(g1.value().view().type(), PageType::kHeap);
+  }
+  EXPECT_EQ(m_.pages_read.load(), reads) << "pinned page 1 was evicted";
+  // With page 1 pinned and page 5 latched, no frame is left to steal.
+  auto g5 = pool->FetchPage(5, LatchMode::kShared);
+  ASSERT_TRUE(g5.ok());
+  EXPECT_TRUE(pool->FetchPage(6, LatchMode::kShared).status().IsBusy());
+  // An X hold on the pinned page is what invalidates the snapshot.
+  { auto x = pool->FetchPage(1, LatchMode::kExclusive); ASSERT_TRUE(x.ok()); }
+  EXPECT_FALSE(pin.value().Validate(version));
 }
 
 TEST_F(BufferPoolTest, ConcurrentFetchesOfSamePage) {

@@ -1,8 +1,10 @@
 #include "util/rwlatch.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -105,6 +107,93 @@ TEST(RwLatchTest, GuardMoveTransfersOwnership) {
   g2.Release();
   EXPECT_TRUE(latch.TryLockExclusive());
   latch.UnlockExclusive();
+}
+
+// --- The optimistic-read version carried in the latch word ---------------
+
+TEST(RwLatchTest, SharedHoldLeavesVersionUnchanged) {
+  RwLatch latch;
+  uint64_t v0 = 0;
+  ASSERT_TRUE(latch.ReadVersion(&v0));
+  latch.LockShared();
+  ASSERT_TRUE(latch.TryLockShared());
+  uint64_t held = 0;
+  EXPECT_TRUE(latch.ReadVersion(&held)) << "S holders must not block readers";
+  EXPECT_EQ(held, v0);
+  EXPECT_TRUE(latch.Validate(v0));
+  latch.UnlockShared();
+  latch.UnlockShared();
+  latch.LockInstant(LatchMode::kShared);
+  EXPECT_TRUE(latch.Validate(v0));
+}
+
+TEST(RwLatchTest, ExclusiveReleaseAdvancesVersion) {
+  RwLatch latch;
+  uint64_t v0 = 0;
+  ASSERT_TRUE(latch.ReadVersion(&v0));
+  latch.LockExclusive();
+  uint64_t during = 0;
+  EXPECT_FALSE(latch.ReadVersion(&during)) << "X holder active";
+  EXPECT_FALSE(latch.Validate(v0));
+  latch.UnlockExclusive();
+  uint64_t v1 = 0;
+  ASSERT_TRUE(latch.ReadVersion(&v1));
+  EXPECT_NE(v1, v0);
+  EXPECT_FALSE(latch.Validate(v0));
+  EXPECT_TRUE(latch.Validate(v1));
+  // Conditional and instant X holds advance it too.
+  ASSERT_TRUE(latch.TryLockExclusive());
+  latch.UnlockExclusive();
+  EXPECT_FALSE(latch.Validate(v1));
+  uint64_t v2 = 0;
+  ASSERT_TRUE(latch.ReadVersion(&v2));
+  latch.LockInstant(LatchMode::kExclusive);
+  EXPECT_FALSE(latch.Validate(v2));
+}
+
+TEST(RwLatchTest, VersionValidatesAcrossAnotherThreadsSharedHold) {
+  RwLatch latch;
+  uint64_t v = 0;
+  ASSERT_TRUE(latch.ReadVersion(&v));
+  std::atomic<int> phase{0};
+  std::thread reader([&] {
+    latch.LockShared();
+    phase = 1;
+    while (phase.load() != 2) std::this_thread::yield();
+    latch.UnlockShared();
+  });
+  while (phase.load() != 1) std::this_thread::yield();
+  EXPECT_TRUE(latch.Validate(v)) << "during the other thread's S hold";
+  phase = 2;
+  reader.join();
+  EXPECT_TRUE(latch.Validate(v)) << "after the other thread's S release";
+}
+
+// X latches are held across log appends, which can wait behind an fsync:
+// a waiter must sleep, not spin, through a long hold.
+TEST(RwLatchTest, ParkedWaiterUsesLittleCpu) {
+  auto thread_cpu = [] {
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    return std::chrono::seconds(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+           std::chrono::microseconds(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+  };
+  RwLatch latch;
+  latch.LockExclusive();
+  std::chrono::microseconds used[2]{};
+  std::vector<std::thread> waiters;
+  for (LatchMode m : {LatchMode::kShared, LatchMode::kExclusive}) {
+    waiters.emplace_back([&, m] {
+      const auto start = thread_cpu();
+      latch.LockInstant(m);
+      used[static_cast<int>(m)] = thread_cpu() - start;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  latch.UnlockExclusive();
+  for (auto& t : waiters) t.join();
+  EXPECT_LT(used[0], std::chrono::milliseconds(20)) << "S waiter";
+  EXPECT_LT(used[1], std::chrono::milliseconds(20)) << "X waiter";
 }
 
 }  // namespace
