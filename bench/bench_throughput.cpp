@@ -257,7 +257,6 @@ CommitRow RunCommitConfig(int threads, const std::string& mode,
   o.fsync_log = true;  // the whole point: commits must pay for durability
   o.index_locking = LockingProtocolKind::kNone;
   o.wal_group_commit = mode != "group_off";
-  o.wal_group_commit_mode = GroupCommitMode::kFlusher;
   auto db = std::move(
       Database::Open(FreshDir("commit_" + mode + std::to_string(threads)), o)
           .value());

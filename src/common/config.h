@@ -24,17 +24,6 @@ enum class LockGranularity : uint8_t {
   kTable = 2,   ///< one lock per table (coarsest)
 };
 
-/// Who executes a group-commit flush (see docs/ARCHITECTURE.md, "Group
-/// commit").
-enum class GroupCommitMode : uint8_t {
-  /// A dedicated flusher thread owns every commit flush; committers only
-  /// enqueue their request and sleep.
-  kFlusher = 0,
-  /// No extra thread: the first committer to find no flush in progress is
-  /// elected leader and flushes on behalf of every waiter.
-  kLeader = 1,
-};
-
 struct Options {
   /// Size of every page in bytes. Must be a power of two, >= 256.
   size_t page_size = 4096;
@@ -50,19 +39,13 @@ struct Options {
   bool fsync_log = true;
 
   /// Group commit: coalesce concurrent commit-record forces into shared
-  /// write+fsync batches instead of one flush per committing transaction.
-  /// An acknowledged Commit() is exactly as durable either way; only the
-  /// number of flushes changes. See docs/ARCHITECTURE.md.
+  /// write+fsync batches run by a dedicated flusher thread, instead of one
+  /// flush per committing transaction. Takes effect only with fsync_log:
+  /// without the fsync a flush is cheaper than the thread hand-off, so
+  /// committers flush inline. An acknowledged Commit() is exactly as
+  /// durable either way; only the number of flushes changes. See
+  /// docs/ARCHITECTURE.md.
   bool wal_group_commit = true;
-
-  /// Flush executor for group commit (ignored unless wal_group_commit).
-  GroupCommitMode wal_group_commit_mode = GroupCommitMode::kFlusher;
-
-  /// Extra microseconds a group-commit flush waits before writing, to let
-  /// more committers append their records into the batch (0 = flush
-  /// immediately; coalescing still happens naturally while a flush is in
-  /// flight, because late committers join the next batch).
-  uint32_t wal_group_commit_delay_us = 0;
 
   /// Default locking protocol for newly created indexes.
   LockingProtocolKind index_locking = LockingProtocolKind::kDataOnly;

@@ -58,12 +58,7 @@ Status Database::DoOpen(const std::string& dir) {
   log_->SetFaultInjector(&fault_);
   log_->SetHealthMonitor(&health_, options_.log_flush_failure_threshold);
   ARIES_RETURN_NOT_OK(log_->Open());
-  log_->EnableGroupCommit(options_.wal_group_commit,
-                          options_.wal_group_commit_delay_us);
-  if (options_.wal_group_commit &&
-      options_.wal_group_commit_mode == GroupCommitMode::kFlusher) {
-    log_->StartFlusher();
-  }
+  if (options_.wal_group_commit && options_.fsync_log) log_->StartFlusher();
   pool_ = std::make_unique<BufferPool>(disk_.get(), log_.get(),
                                        options_.buffer_pool_frames, &metrics_,
                                        options_.verify_checksums);
@@ -716,9 +711,9 @@ void Database::SimulateCrash() {
   // checkpoint) that must not race the discard below.
   StopSweeper();
   // Drain the group-commit flusher before discarding the tail so no flush
-  // races the discard. In-flight committers fail over to the leader path
-  // and observe either durability or the discarded tail (an error — their
-  // commits were never acknowledged).
+  // races the discard. In-flight committers fall through to the inline
+  // flush and observe either durability or the discarded tail (an error —
+  // their commits were never acknowledged).
   log_->StopFlusher();
   log_->DiscardUnflushed();
   pool_->DropAll();

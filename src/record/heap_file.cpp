@@ -114,42 +114,38 @@ Result<Rid> HeapFile::TryInsertOnPage(Transaction* txn, PageId pid,
 Result<PageId> HeapFile::ExtendChain(Transaction* txn, PageId last) {
   // The chain extension is a nested top action: once the new page is linked
   // in, other transactions may insert into it, so a rollback of *this*
-  // transaction must not unlink it (paper §1.2 nested top actions).
+  // transaction must not unlink it (paper §1.2 nested top actions). The X
+  // latches on `last` and on the new page are held until the dummy CLR that
+  // closes the NTA is appended: the link is what makes the page reachable,
+  // so every record another transaction writes there follows the dummy CLR
+  // in the log. Otherwise a crash between an inserter's durable commit and
+  // the dummy CLR would leave the NTA incomplete, and restart undo would
+  // unlink and unformat the page under the committed record.
+  ARIES_ASSIGN_OR_RETURN(PageGuard tail,
+                         ctx_->pool->FetchPage(last, LatchMode::kExclusive));
+  // Another inserter extended the chain while we waited for the latch.
+  if (tail.view().next_page() != kInvalidPageId) return tail.view().next_page();
   txn->BeginNta();
-  auto res = ExtendChainBody(txn, last);
-  ARIES_RETURN_NOT_OK(ctx_->txns->EndNta(txn));
-  return res;
-}
-
-Result<PageId> HeapFile::ExtendChainBody(Transaction* txn, PageId last) {
-  ARIES_ASSIGN_OR_RETURN(PageId fresh, ctx_->space->AllocatePage(txn));
-  {
-    ARIES_ASSIGN_OR_RETURN(PageGuard page,
+  PageGuard page;
+  auto body = [&]() -> Result<PageId> {
+    ARIES_ASSIGN_OR_RETURN(PageId fresh, ctx_->space->AllocatePage(txn));
+    ARIES_ASSIGN_OR_RETURN(page,
                            ctx_->pool->FetchPage(fresh, LatchMode::kExclusive));
     std::string payload = heap::EncodeFormat(table_id_);
     ARIES_ASSIGN_OR_RETURN(Lsn lsn,
                            LogHeap(ctx_, txn, heap::kOpFormat, fresh, payload));
     ARIES_RETURN_NOT_OK(heap::Apply(heap::kOpFormat, payload, page.view()));
     page.MarkDirty(lsn);
-  }
-  {
-    ARIES_ASSIGN_OR_RETURN(PageGuard page,
-                           ctx_->pool->FetchPage(last, LatchMode::kExclusive));
-    PageView v = page.view();
-    if (v.next_page() != kInvalidPageId) {
-      // Another inserter extended the chain concurrently; adopt theirs and
-      // release ours back (cheap: the fresh page is empty).
-      PageId theirs = v.next_page();
-      ARIES_RETURN_NOT_OK(ctx_->space->FreePage(txn, fresh));
-      return theirs;
-    }
-    std::string payload = heap::EncodeSetNext(v.next_page(), fresh);
-    ARIES_ASSIGN_OR_RETURN(Lsn lsn,
+    payload = heap::EncodeSetNext(kInvalidPageId, fresh);
+    ARIES_ASSIGN_OR_RETURN(lsn,
                            LogHeap(ctx_, txn, heap::kOpSetNext, last, payload));
-    ARIES_RETURN_NOT_OK(heap::Apply(heap::kOpSetNext, payload, v));
-    page.MarkDirty(lsn);
-  }
-  return fresh;
+    ARIES_RETURN_NOT_OK(heap::Apply(heap::kOpSetNext, payload, tail.view()));
+    tail.MarkDirty(lsn);
+    return fresh;
+  };
+  auto res = body();
+  ARIES_RETURN_NOT_OK(ctx_->txns->EndNta(txn));
+  return res;
 }
 
 // Locate the last page of the chain without walking it front-to-back:

@@ -56,7 +56,6 @@ class HeapFile {
   Result<Rid> TryInsertOnPage(Transaction* txn, PageId pid,
                               std::string_view record, bool* page_full);
   Result<PageId> ExtendChain(Transaction* txn, PageId last);
-  Result<PageId> ExtendChainBody(Transaction* txn, PageId last);
   PageId FindChainTail();
 
   EngineContext* ctx_;

@@ -14,6 +14,7 @@
 namespace ariesim {
 
 Status RecoveryManager::TakeCheckpoint() {
+  std::lock_guard<std::mutex> lk(checkpoint_mu_);
   LogRecord begin;
   begin.type = LogType::kBeginCheckpoint;
   ARIES_ASSIGN_OR_RETURN(Lsn begin_lsn, ctx_->txns->AppendSystemLog(&begin));

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <map>
+#include <mutex>
 #include <unordered_map>
 
 #include "buffer/buffer_pool.h"
@@ -98,6 +99,7 @@ class RecoveryManager {
   PageLogIndex* page_index() { return &page_index_; }
 
   /// Fuzzy checkpoint: begin_chkpt, DPT + TT snapshot, end_chkpt, master.
+  /// Checkpoints run one at a time (see checkpoint_mu_).
   Status TakeCheckpoint();
 
   /// Undo `txn`'s records with LSN > `stop_at` (kNullLsn = total rollback).
@@ -160,6 +162,13 @@ class RecoveryManager {
 
   EngineContext* ctx_;
   ResourceManager* rms_[8] = {nullptr};
+  /// Held across TakeCheckpoint. Analysis starts at the master's
+  /// begin-checkpoint and seeds its transaction table from the first
+  /// end-checkpoint it reads; two interleaved checkpoints (begin A, begin B,
+  /// end A, end B, master = B) would pair B's begin with A's older snapshot,
+  /// whose stale LastLSNs make restart undo skip a loser's records logged
+  /// between the two begins.
+  std::mutex checkpoint_mu_;
   PageLogIndex page_index_;
   /// Chains frozen at the end of instant-restart analysis; immutable until
   /// the next restart, so LazyRedoPage can read them without locking while

@@ -224,10 +224,10 @@ Status LogManager::FlushLockedImpl() {
     metrics_->log_flushes.fetch_add(1, std::memory_order_relaxed);
     metrics_->log_flush_latency.Record(MonotonicNowNs() - flush_start_ns);
   }
-  // Any flush can satisfy group-commit waiters (capacity spills and WAL-rule
+  // Any flush can satisfy flusher-side waiters (capacity spills and WAL-rule
   // forces advance flushed_lsn_ too). Notifying without gc_mu_ is legal; the
   // waiters re-check their predicate under gc_mu_.
-  if (group_commit_) gc_cv_.notify_all();
+  if (flusher_running()) gc_cv_.notify_all();
   return Status::OK();
 }
 
@@ -241,32 +241,38 @@ Status LogManager::FlushAll() { return FlushTo(next_lsn_); }
 
 // -- group commit -----------------------------------------------------------
 
-void LogManager::EnableGroupCommit(bool enabled, uint32_t max_delay_us) {
-  group_commit_ = enabled;
-  gc_delay_us_ = max_delay_us;
-}
-
 Status LogManager::CommitFlush(Lsn lsn) {
-  if (!group_commit_) {
-    // Non-group commit force: the committer runs the write+fsync itself
-    // (or finds it already durable). The published batch phases describe
-    // exactly the flush that satisfied us, because FlushTo returns while
-    // still ordered after FlushLockedImpl's stores under mu_.
-    const uint64_t enqueue_ns = MonotonicNowNs();
-    Status s = FlushTo(lsn);
-    if (s.ok()) {
-      AttributeDurabilityWait(
-          enqueue_ns, last_batch_start_ns_.load(std::memory_order_relaxed),
-          last_batch_write_ns_.load(std::memory_order_relaxed),
-          last_batch_fsync_ns_.load(std::memory_order_relaxed));
-    }
-    return s;
+  if (metrics_ != nullptr) {
+    metrics_->group_commit_txns.fetch_add(1, std::memory_order_relaxed);
   }
-  return GroupCommitFlush(lsn);
+  // Covers this committer's whole enqueue -> (batch, fsync) -> wakeup wait.
+  ARIES_TRACE_SPAN(span, "gc.wait", TraceCat::kWal, lsn);
+  ARIES_TRACE_INSTANT("gc.enqueue", TraceCat::kWal, lsn);
+  const uint64_t enqueue_ns = MonotonicNowNs();
+  Status s = flusher_running() ? AwaitFlusher(lsn) : Status::OK();
+  if (s.ok() && flushed_lsn() < lsn) {
+    // No flusher (or it stopped under us): flush inline. The published
+    // batch phases then describe exactly the flush that satisfied us,
+    // because CommitBatch returns ordered after FlushLockedImpl's stores.
+    Lsn end = 0;
+    s = CommitBatch(lsn, &end);
+    // An empty tail flushes nothing: DiscardUnflushed threw our record away
+    // and it can never become durable.
+    if (s.ok() && flushed_lsn() < lsn) {
+      s = Status::IOError("log tail discarded before commit flush");
+    }
+  }
+  if (s.ok()) {
+    AttributeDurabilityWait(
+        enqueue_ns, last_batch_start_ns_.load(std::memory_order_relaxed),
+        last_batch_write_ns_.load(std::memory_order_relaxed),
+        last_batch_fsync_ns_.load(std::memory_order_relaxed));
+  }
+  return s;
 }
 
 void LogManager::RequestFlush(Lsn lsn) {
-  if (metrics_ != nullptr && group_commit_) {
+  if (metrics_ != nullptr) {
     metrics_->group_commit_txns.fetch_add(1, std::memory_order_relaxed);
   }
   ARIES_TRACE_INSTANT("gc.enqueue", TraceCat::kWal, lsn);
@@ -275,45 +281,30 @@ void LogManager::RequestFlush(Lsn lsn) {
   flusher_cv_.notify_one();
 }
 
-Status LogManager::GroupFlushAttempt(Lsn* end_out) {
-  Lsn before = flushed_lsn();
+Status LogManager::CommitBatch(Lsn lsn, Lsn* end_out) {
   // One batch of the group-commit pipeline: take mu_, write + sync the whole
   // tail. Nested inside it (when tracing) sits the wal.fsync span.
-  ARIES_TRACE_SPAN(span, "gc.batch", TraceCat::kWal, before);
-  Status s;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    *end_out = next_lsn_.load(std::memory_order_relaxed);
-    s = FlushLocked();
+  ARIES_TRACE_SPAN(span, "gc.batch", TraceCat::kWal, flushed_lsn());
+  std::lock_guard<std::mutex> lk(mu_);
+  *end_out = next_lsn_.load(std::memory_order_relaxed);
+  if (flushed_lsn_.load(std::memory_order_relaxed) >= lsn || buffer_.empty()) {
+    return Status::OK();
   }
-  if (metrics_ != nullptr && s.ok() && flushed_lsn() > before) {
+  Status s = FlushLocked();
+  if (metrics_ != nullptr && s.ok()) {
     metrics_->group_commit_batches.fetch_add(1, std::memory_order_relaxed);
   }
   return s;
 }
 
-Status LogManager::GroupCommitFlush(Lsn lsn) {
-  if (metrics_ != nullptr) {
-    metrics_->group_commit_txns.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Covers this committer's whole enqueue -> (batch, fsync) -> wakeup wait.
-  ARIES_TRACE_SPAN(span, "gc.wait", TraceCat::kWal, lsn);
-  ARIES_TRACE_INSTANT("gc.enqueue", TraceCat::kWal, lsn);
-  const uint64_t enqueue_ns = MonotonicNowNs();
+Status LogManager::AwaitFlusher(Lsn lsn) {
   std::unique_lock<std::mutex> lk(gc_mu_);
   // One forced re-flush per waiter: if the attempt that covered us failed
   // (e.g. a transient error that has since healed), roll the attempt
-  // watermark back once so the executor tries again for us; a second
+  // watermark back once so the flusher tries again for us; a second
   // covered failure is final.
   bool retried = false;
-  for (;;) {
-    if (flushed_lsn() >= lsn) {
-      AttributeDurabilityWait(
-          enqueue_ns, last_batch_start_ns_.load(std::memory_order_relaxed),
-          last_batch_write_ns_.load(std::memory_order_relaxed),
-          last_batch_fsync_ns_.load(std::memory_order_relaxed));
-      return Status::OK();
-    }
+  while (flusher_running() && flushed_lsn() < lsn) {
     // Crash simulation discarded the tail out from under us: our record no
     // longer exists and can never become durable.
     if (lsn > next_lsn()) {
@@ -325,49 +316,18 @@ Status LogManager::GroupCommitFlush(Lsn lsn) {
       gc_attempted_ = flushed_lsn();
     }
     gc_requested_ = std::max(gc_requested_, lsn);
-    uint64_t round = gc_round_;
-    if (flusher_running_.load(std::memory_order_acquire)) {
-      // Flusher mode: hand the batch to the dedicated thread and wait for
-      // durability or the verdict of an attempt that covered us. The
-      // timeout is a lost-wakeup backstop (flushes from Append's capacity
-      // spill notify without gc_mu_); the outer loop re-checks everything.
-      flusher_cv_.notify_one();
-      gc_cv_.wait_for(lk, std::chrono::milliseconds(1), [&] {
-        return flushed_lsn() >= lsn || gc_round_ != round ||
-               lsn > next_lsn() ||
-               !flusher_running_.load(std::memory_order_acquire);
-      });
-      continue;
-    }
-    // Leader mode. If a leader is already flushing, wait out its round —
-    // our record, appended before its flush takes mu_, usually rides it.
-    if (gc_leader_active_) {
-      gc_cv_.wait_for(lk, std::chrono::milliseconds(1), [&] {
-        return flushed_lsn() >= lsn || gc_round_ != round ||
-               lsn > next_lsn() || !gc_leader_active_;
-      });
-      continue;
-    }
-    // Become the leader: flush the whole tail on behalf of every waiter.
-    gc_leader_active_ = true;
-    lk.unlock();
-    if (gc_delay_us_ > 0) {
-      // Batch-accumulation window: appends only need mu_, so concurrent
-      // committers can still add their commit records to the tail we are
-      // about to flush.
-      std::this_thread::sleep_for(std::chrono::microseconds(gc_delay_us_));
-    }
-    Lsn end = 0;
-    Status s = GroupFlushAttempt(&end);
-    lk.lock();
-    gc_leader_active_ = false;
-    ++gc_round_;
-    gc_status_ = s;
-    gc_attempted_ = std::max(gc_attempted_, end);
-    gc_cv_.notify_all();
-    ARIES_TRACE_INSTANT("gc.wakeup", TraceCat::kWal, end);
-    if (!s.ok() && end >= lsn) return s;
+    const uint64_t round = gc_round_;
+    // Hand the batch to the flusher and wait for durability or the verdict
+    // of an attempt that covered us. The timeout is a lost-wakeup backstop
+    // (flushes from Append's capacity spill notify without gc_mu_); the
+    // loop re-checks everything.
+    flusher_cv_.notify_one();
+    gc_cv_.wait_for(lk, std::chrono::milliseconds(1), [&] {
+      return flushed_lsn() >= lsn || gc_round_ != round ||
+             lsn > next_lsn() || !flusher_running();
+    });
   }
+  return Status::OK();
 }
 
 void LogManager::FlusherLoop() {
@@ -384,12 +344,10 @@ void LogManager::FlusherLoop() {
       });
       continue;
     }
+    const Lsn want = gc_requested_;
     lk.unlock();
-    if (gc_delay_us_ > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(gc_delay_us_));
-    }
     Lsn end = 0;
-    Status s = GroupFlushAttempt(&end);
+    Status s = CommitBatch(want, &end);
     lk.lock();
     ++gc_round_;
     gc_status_ = s;

@@ -8,14 +8,14 @@
 //    at the durable prefix, and restart recovery scans from the master
 //    record's checkpoint.
 //
-// Group commit (docs/ARCHITECTURE.md has the full design): committing
-// transactions do not each run their own write+fsync. They register the LSN
-// they need durable and block on a condition variable; one flush — executed
-// either by a dedicated flusher thread (StartFlusher) or by an elected
-// leader among the waiters — covers the whole tail and wakes every waiter
-// whose boundary is now durable. A flush failure is delivered to exactly
-// the waiters the failed attempt covered, so an acknowledged Commit() is
-// durable under every fault the injector can produce.
+// Group commit (docs/ARCHITECTURE.md has the full design): every flush
+// writes the whole tail, so one write covers every commit record appended
+// before it. When flushes fsync, a dedicated flusher thread (StartFlusher)
+// runs them: committers register the LSN they need durable and block until
+// a batch covers it. When no flusher runs, the committer flushes inline
+// under the log mutex. A flush failure is delivered to exactly the waiters
+// the failed attempt covered, so an acknowledged Commit() is durable under
+// every fault the injector can produce.
 #pragma once
 
 #include <atomic>
@@ -72,11 +72,12 @@ class LogManager {
   // -- group commit -------------------------------------------------------
 
   /// Commit-path log force: make the log prefix [0, `lsn`) durable, where
-  /// `lsn` is the byte just past the commit record. With group commit
-  /// enabled, coalesces with every concurrent committer into shared
-  /// batches; otherwise equivalent to FlushTo. Blocks until the prefix is
-  /// durable or the flush that covered it failed (the error is returned to
-  /// every covered waiter — their commits are NOT acknowledged).
+  /// `lsn` is the byte just past the commit record. With the flusher
+  /// running, hands the force to it and shares its batches with every
+  /// concurrent committer; otherwise flushes inline like FlushTo. Blocks
+  /// until the prefix is durable or the flush that covered it failed (the
+  /// error is returned to every covered waiter — their commits are NOT
+  /// acknowledged), and fails if DiscardUnflushed threw the record away.
   Status CommitFlush(Lsn lsn);
 
   /// Lazy-commit durability request: ask for [0, `lsn`) to become durable
@@ -85,16 +86,13 @@ class LogManager {
   /// spill, or Close). Used by TransactionManager::CommitAsync.
   void RequestFlush(Lsn lsn);
 
-  /// Configure group commit. Call before concurrent use (Database::Open
-  /// does). `max_delay_us` stretches each batch window to accumulate more
-  /// committers; 0 flushes as soon as the executor picks the batch up.
-  void EnableGroupCommit(bool enabled, uint32_t max_delay_us);
-
-  /// Start the dedicated flusher thread (GroupCommitMode::kFlusher). With
-  /// no flusher running, committers elect a leader among themselves.
+  /// Start the dedicated flusher thread. Database::Open does so iff
+  /// wal_group_commit and fsync_log: only a flush that fsyncs costs more
+  /// than the thread hand-off. With no flusher running, committers flush
+  /// inline.
   void StartFlusher();
-  /// Stop and join the flusher thread. Blocked committers fail over to the
-  /// leader protocol, so none is stranded. Safe to call repeatedly; Close
+  /// Stop and join the flusher thread. Blocked committers fall through to
+  /// the inline flush, so none is stranded. Safe to call repeatedly; Close
   /// and Database::SimulateCrash call it.
   void StopFlusher();
   bool flusher_running() const {
@@ -192,12 +190,15 @@ class LogManager {
   /// streak and trips the health monitor past the threshold.
   Status FlushLocked();
   Status FlushLockedImpl();
-  /// One group flush: take mu_, flush the whole tail, record the batch
-  /// metric. `*end_out` receives the boundary the attempt covered (the
+  /// One commit flush, by the flusher or an inline committer: take mu_ and,
+  /// unless [0, `lsn`) is already durable, flush the whole tail and count a
+  /// batch. `*end_out` receives the boundary the attempt covered (the
   /// next_lsn at flush time) — waiters at or below it have their answer.
-  Status GroupFlushAttempt(Lsn* end_out);
-  /// The blocking group-commit protocol behind CommitFlush.
-  Status GroupCommitFlush(Lsn lsn);
+  Status CommitBatch(Lsn lsn, Lsn* end_out);
+  /// Flusher side of CommitFlush: block until [0, `lsn`) is durable or the
+  /// flusher stops (both OK), or until a covering attempt's failure is
+  /// final or the record was discarded (the error).
+  Status AwaitFlusher(Lsn lsn);
   void FlusherLoop();
 
   std::string path_;
@@ -232,11 +233,9 @@ class LogManager {
 
   // -- group-commit coordination ------------------------------------------
   // gc_mu_ guards only the coordination state below; the flush itself runs
-  // under mu_. Nobody ever waits for mu_ while holding gc_mu_ (both the
-  // leader and the flusher drop gc_mu_ before taking mu_), so the two
+  // under mu_. Nobody ever waits for mu_ while holding gc_mu_ (the flusher
+  // and inline committers drop gc_mu_ before taking mu_), so the two
   // mutexes cannot deadlock.
-  bool group_commit_ = false;   // set before concurrent use
-  uint32_t gc_delay_us_ = 0;    // batch-accumulation window
   std::mutex gc_mu_;
   std::condition_variable gc_cv_;       // committers await durability
   std::condition_variable flusher_cv_;  // flusher awaits work
@@ -244,8 +243,7 @@ class LogManager {
   Lsn gc_attempted_ = 0;   // boundary covered by the last flush attempt
   uint64_t gc_round_ = 0;  // completed flush attempts (ok or not)
   Status gc_status_;       // outcome of the last attempt
-  bool gc_leader_active_ = false;  // leader mode: a leader is flushing
-  bool flusher_run_ = false;       // flusher thread keep-running flag
+  bool flusher_run_ = false;  // flusher thread keep-running flag
   std::atomic<bool> flusher_running_{false};
   std::thread flusher_;
 };

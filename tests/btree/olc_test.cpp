@@ -74,9 +74,15 @@ TEST_P(OlcStormTest, ReadersNeverObserveTornOrStaleNodes) {
   std::atomic<int> watermark[kWriters];
   for (auto& w : watermark) w.store(-1);
   std::atomic<bool> writers_done{false};
+  std::atomic<int> readers_started{0};
   std::atomic<uint64_t> reads{0};
 
   auto writer = [&](int w) {
+    // Write only once every reader runs: commits are fast enough that the
+    // writers could otherwise finish before a descheduled reader starts.
+    while (readers_started.load(std::memory_order_acquire) < kReaders) {
+      std::this_thread::yield();
+    }
     Random rnd(seed * 131 + static_cast<uint64_t>(w));
     int churn = 0;
     for (int i = 0; i < kCommittedPerWriter; ++i) {
@@ -104,7 +110,8 @@ TEST_P(OlcStormTest, ReadersNeverObserveTornOrStaleNodes) {
 
   auto reader = [&](int r) {
     Random rnd(seed * 977 + static_cast<uint64_t>(r));
-    while (!writers_done.load(std::memory_order_acquire)) {
+    readers_started.fetch_add(1, std::memory_order_release);
+    do {
       int w = static_cast<int>(rnd.Uniform(kWriters));
       int hi = watermark[w].load(std::memory_order_acquire);
       Transaction* txn = db->Begin();
@@ -135,7 +142,7 @@ TEST_P(OlcStormTest, ReadersNeverObserveTornOrStaleNodes) {
       }
       ASSERT_OK(db->Commit(txn));
       reads.fetch_add(1, std::memory_order_relaxed);
-    }
+    } while (!writers_done.load(std::memory_order_acquire));
   };
 
   std::vector<std::thread> threads;

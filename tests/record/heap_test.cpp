@@ -2,7 +2,13 @@
 // discipline (slot reclaim gated by the RID lock), chain growth, undo.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "db/database.h"
+#include "record/heap_page.h"
 #include "test_util.h"
 
 namespace ariesim {
@@ -165,6 +171,60 @@ TEST_F(HeapTest, HeapSurvivesCrashRecovery) {
   table_ = db_->GetTable("t");
   ASSERT_NE(table_, nullptr);
   EXPECT_EQ(heap()->Fetch(rid).value(), "durable");
+}
+
+// A chain extension is a nested top action (allocate, format, link). Its
+// dummy CLR must precede, in the log, every record another transaction
+// writes on the new page: a crash after such a record's commit but before
+// the dummy CLR would make restart undo the extension and unformat the page
+// under the committed record. 64 threads on a few cores get preempted
+// between an extension's link and its dummy CLR often enough to show any
+// such window in one run.
+TEST(HeapChainTest, ExtensionClosesBeforeOtherTransactionsUseTheNewPage) {
+  TempDir dir("heap_chain_nta");
+  auto db = std::move(Database::Open(dir.path(), SmallPageOptions())).value();
+  Table* table = db->CreateTable("t", 1).value();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 64; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 50; ++i) {
+        Transaction* txn = db->Begin();
+        std::string row = std::string(150, 'r') + std::to_string(t * 100 + i);
+        ASSERT_TRUE(table->heap()->Insert(txn, row).ok());
+        ASSERT_OK(db->Commit(txn));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_OK(db->wal()->FlushAll());
+
+  std::map<PageId, TxnId> open_extensions;  // formatted page -> formatter
+  int extensions = 0;
+  LogManager::Reader reader(db->wal(), kLogFilePrologue);
+  LogRecord rec;
+  while (reader.Next(&rec).ok()) {
+    // A dummy CLR closes the extension; a commit closes CreateTable's
+    // first-page format, which no NTA wraps.
+    if (rec.type == LogType::kCommit ||
+        (rec.type == LogType::kCompensation && rec.rm == RmId::kNone)) {
+      std::erase_if(open_extensions,
+                    [&](const auto& e) { return e.second == rec.txn_id; });
+      continue;
+    }
+    if (rec.rm != RmId::kHeap) continue;
+    auto it = open_extensions.find(rec.page_id);
+    if (it != open_extensions.end()) {
+      EXPECT_EQ(rec.txn_id, it->second)
+          << "txn " << rec.txn_id << " wrote page " << rec.page_id
+          << " at lsn " << rec.lsn << " before txn " << it->second
+          << " closed the extension that formatted it";
+    }
+    if (rec.type == LogType::kUpdate && rec.op == heap::kOpFormat) {
+      open_extensions[rec.page_id] = rec.txn_id;
+      ++extensions;
+    }
+  }
+  EXPECT_GT(extensions, 50);
 }
 
 }  // namespace

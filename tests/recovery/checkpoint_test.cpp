@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "db/database.h"
 #include "test_util.h"
@@ -91,6 +92,39 @@ TEST(CheckpointTest, CheckpointDuringConcurrentWriters) {
   db->SimulateCrash();
   auto db2 = std::move(Database::Open(dir.path(), SmallPageOptions())).value();
   ASSERT_OK(db2->GetIndex("pk")->Validate(nullptr));
+}
+
+// Concurrent Checkpoint() calls must not interleave their begin/end
+// records: analysis pairs the master's begin-checkpoint with the first
+// end-checkpoint after it, and an older snapshot there carries stale
+// LastLSNs that make restart undo skip a loser's records.
+TEST(CheckpointTest, ConcurrentCheckpointsDoNotInterleave) {
+  TempDir dir("ckpt_serial");
+  auto db = std::move(Database::Open(dir.path(), SmallPageOptions())).value();
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 4; ++c) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 50; ++i) ASSERT_OK(db->Checkpoint());
+    });
+  }
+  for (auto& th : threads) th.join();
+  LogManager::Reader reader(db->wal(), kLogFilePrologue);
+  LogRecord rec;
+  Lsn open_begin = kNullLsn;
+  int pairs = 0;
+  while (reader.Next(&rec).ok()) {
+    if (rec.type == LogType::kBeginCheckpoint) {
+      EXPECT_EQ(open_begin, kNullLsn)
+          << "begin-checkpoint at " << rec.lsn
+          << " inside the checkpoint begun at " << open_begin;
+      open_begin = rec.lsn;
+    } else if (rec.type == LogType::kEndCheckpoint) {
+      EXPECT_NE(open_begin, kNullLsn) << "unpaired end-checkpoint at " << rec.lsn;
+      open_begin = kNullLsn;
+      ++pairs;
+    }
+  }
+  EXPECT_GE(pairs, 200);
 }
 
 TEST(CheckpointTest, MasterRecordSurvivesAcrossReopen) {

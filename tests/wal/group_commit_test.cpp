@@ -1,16 +1,21 @@
 // Group-commit correctness: the batching pipeline must not weaken the
-// commit rule. N threads commit concurrently with group commit on (both
-// flusher-thread and elected-leader modes); a seed-derived partial-flush
+// commit rule. N threads commit concurrently on each commit path (the
+// flusher thread, which Database::Open starts when the log fsyncs, and the
+// inline flush every other database uses); a seed-derived partial-flush
 // fault kills the device mid-batch; after the crash every *acknowledged*
 // commit must be recovered whole, every unacknowledged commit must be
 // atomic (all or nothing), and the recovered database must hold no stray
-// locks. Plus deterministic tests for flush coalescing, CommitAsync's
-// lazy-durability window, error propagation to covered waiters, and the
-// DiscardUnflushed-vs-flusher race.
+// locks. Plus deterministic tests for the flusher start policy, flush
+// coalescing, CommitAsync's lazy-durability window, error propagation to
+// covered waiters, and the DiscardUnflushed-vs-flusher race.
 //
 // Reproduce one failing seed with:
-//   ARIESIM_STRESS_SEEDS=<seed> ./wal_test
+//   ARIESIM_STRESS_SEEDS=<seed> ./group_commit_test
 //       --gtest_filter='FlusherSeeds/GroupCommitDurabilityTest.*'
+// Each seed records the commits and commit flushes it ran before the crash
+// as the test properties group_commit_txns / group_commit_batches
+// (--gtest_output=xml:<file>); more commits than flushes means the fault
+// landed among multi-commit batches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,11 +40,14 @@ namespace {
 using testing::StressSeeds;
 using testing::TempDir;
 
-Options GroupCommitOptions(GroupCommitMode mode, uint32_t delay_us = 0) {
+// The two ways a commit record becomes durable. Database::Open picks the
+// flusher iff wal_group_commit && fsync_log, so the options set the fsync.
+enum class CommitPath : uint8_t { kFlusher = 0, kInline = 1 };
+
+Options GroupCommitOptions(CommitPath path) {
   Options o = testing::FaultTestOptions();
   o.wal_group_commit = true;
-  o.wal_group_commit_mode = mode;
-  o.wal_group_commit_delay_us = delay_us;
+  o.fsync_log = path == CommitPath::kFlusher;
   return o;
 }
 
@@ -50,17 +58,13 @@ Options GroupCommitOptions(GroupCommitMode mode, uint32_t delay_us = 0) {
 // ---------------------------------------------------------------------------
 
 class GroupCommitDurabilityTest
-    : public ::testing::TestWithParam<std::pair<uint64_t, GroupCommitMode>> {};
+    : public ::testing::TestWithParam<std::pair<uint64_t, CommitPath>> {};
 
 TEST_P(GroupCommitDurabilityTest, AcknowledgedCommitsSurviveMidBatchCrash) {
-  const auto [seed, mode] = GetParam();
+  const auto [seed, path] = GetParam();
   SCOPED_TRACE("seed " + std::to_string(seed));
   Random seed_rnd(seed);
-  // Sometimes stretch the batch window so the fault lands inside a wide
-  // multi-transaction batch.
-  Options opts = GroupCommitOptions(
-      mode, seed_rnd.Percent(40) ? static_cast<uint32_t>(seed_rnd.Range(50, 500))
-                                 : 0);
+  Options opts = GroupCommitOptions(path);
   TempDir dir("group_commit_" + std::to_string(seed));
 
   // Each transaction inserts TWO keys sharing an id, so recovery atomicity
@@ -109,6 +113,11 @@ TEST_P(GroupCommitDurabilityTest, AcknowledgedCommitsSurviveMidBatchCrash) {
       });
     }
     for (auto& th : threads) th.join();
+    ASSERT_EQ(db->wal()->flusher_running(), path == CommitPath::kFlusher);
+    RecordProperty("group_commit_txns",
+                   std::to_string(db->metrics().group_commit_txns.load()));
+    RecordProperty("group_commit_batches",
+                   std::to_string(db->metrics().group_commit_batches.load()));
     ASSERT_OK(db->SimulateTornCrash(TornCrashSpec{}));
     testing::MaybeKeepCrashImage(dir.path());
   }
@@ -152,19 +161,18 @@ TEST_P(GroupCommitDurabilityTest, AcknowledgedCommitsSurviveMidBatchCrash) {
   ASSERT_OK(db->Rollback(sweep));
 }
 
-std::vector<std::pair<uint64_t, GroupCommitMode>> SeedsWithMode(
-    GroupCommitMode mode) {
-  std::vector<std::pair<uint64_t, GroupCommitMode>> out;
-  for (uint64_t s : StressSeeds(12)) out.emplace_back(s, mode);
+std::vector<std::pair<uint64_t, CommitPath>> SeedsOnPath(CommitPath path) {
+  std::vector<std::pair<uint64_t, CommitPath>> out;
+  for (uint64_t s : StressSeeds(12)) out.emplace_back(s, path);
   return out;
 }
 
 INSTANTIATE_TEST_SUITE_P(FlusherSeeds, GroupCommitDurabilityTest,
-                         ::testing::ValuesIn(SeedsWithMode(
-                             GroupCommitMode::kFlusher)));
+                         ::testing::ValuesIn(SeedsOnPath(CommitPath::kFlusher)));
+// No flusher thread (fsync off): each committer leads its own inline flush,
+// which covers every commit record appended before it took the log mutex.
 INSTANTIATE_TEST_SUITE_P(LeaderSeeds, GroupCommitDurabilityTest,
-                         ::testing::ValuesIn(SeedsWithMode(
-                             GroupCommitMode::kLeader)));
+                         ::testing::ValuesIn(SeedsOnPath(CommitPath::kInline)));
 
 // ---------------------------------------------------------------------------
 // Deterministic pipeline behaviors.
@@ -181,12 +189,29 @@ LogRecord SmallUpdate(TxnId txn) {
   return rec;
 }
 
+TEST(GroupCommitTest, FlusherRunsIffGroupCommitAndFsync) {
+  TempDir dir("gc_policy");
+  for (bool group : {false, true}) {
+    for (bool fsync : {false, true}) {
+      Options opts = testing::FaultTestOptions();
+      opts.wal_group_commit = group;
+      opts.fsync_log = fsync;
+      auto db = std::move(Database::Open(dir.path() + "/db" +
+                                             std::to_string(group) +
+                                             std::to_string(fsync),
+                                         opts))
+                    .value();
+      EXPECT_EQ(db->wal()->flusher_running(), group && fsync)
+          << "wal_group_commit=" << group << " fsync_log=" << fsync;
+    }
+  }
+}
+
 TEST(GroupCommitTest, AsyncRequestsCoalesceIntoOneBatch) {
   TempDir dir("gc_coalesce");
   Metrics m;
   LogManager lm(dir.path() + "/wal", &m, /*fsync=*/false);
   ASSERT_OK(lm.Open());
-  lm.EnableGroupCommit(true, /*max_delay_us=*/0);
   // Queue 10 durability requests while no flusher runs: nothing may flush.
   for (int i = 0; i < 10; ++i) {
     LogRecord r = SmallUpdate(static_cast<TxnId>(i + 1));
@@ -209,15 +234,13 @@ TEST(GroupCommitTest, AsyncRequestsCoalesceIntoOneBatch) {
 
 TEST(GroupCommitTest, ConcurrentCommitersAllDurableAndCounted) {
   TempDir dir("gc_mt");
-  for (GroupCommitMode mode :
-       {GroupCommitMode::kFlusher, GroupCommitMode::kLeader}) {
+  for (CommitPath path : {CommitPath::kFlusher, CommitPath::kInline}) {
     Metrics m;
     LogManager lm(dir.path() + "/wal_" +
-                      std::to_string(static_cast<int>(mode)),
+                      std::to_string(static_cast<int>(path)),
                   &m, /*fsync=*/false);
     ASSERT_OK(lm.Open());
-    lm.EnableGroupCommit(true, 0);
-    if (mode == GroupCommitMode::kFlusher) lm.StartFlusher();
+    if (path == CommitPath::kFlusher) lm.StartFlusher();
     constexpr int kThreads = 8, kPer = 40;
     std::vector<std::thread> ts;
     for (int t = 0; t < kThreads; ++t) {
@@ -241,9 +264,9 @@ TEST(GroupCommitTest, ConcurrentCommitersAllDurableAndCounted) {
 
 TEST(GroupCommitTest, CommitAsyncReleasesLocksBeforeDurability) {
   TempDir dir("gc_async");
-  // Leader mode and no flusher: an async commit's durability request sits
-  // untouched, making the lazy window deterministic.
-  Options opts = GroupCommitOptions(GroupCommitMode::kLeader);
+  // No flusher: an async commit's durability request sits untouched,
+  // making the lazy window deterministic.
+  Options opts = GroupCommitOptions(CommitPath::kInline);
   {
     auto db = std::move(Database::Open(dir.path(), opts)).value();
     Table* table = db->CreateTable("t", 2).value();
@@ -284,7 +307,7 @@ TEST(GroupCommitTest, CommitAsyncReleasesLocksBeforeDurability) {
 
 TEST(GroupCommitTest, CommitAsyncHardensWithNextFlush) {
   TempDir dir("gc_async_hard");
-  Options opts = GroupCommitOptions(GroupCommitMode::kFlusher);
+  Options opts = GroupCommitOptions(CommitPath::kFlusher);
   {
     auto db = std::move(Database::Open(dir.path(), opts)).value();
     Table* table = db->CreateTable("t", 2).value();
@@ -305,13 +328,12 @@ TEST(GroupCommitTest, CommitAsyncHardensWithNextFlush) {
 
 TEST(GroupCommitTest, FlushErrorReachesEveryCoveredWaiter) {
   TempDir dir("gc_error");
-  for (GroupCommitMode mode :
-       {GroupCommitMode::kFlusher, GroupCommitMode::kLeader}) {
-    Options opts = GroupCommitOptions(mode);
-    auto db = std::move(
-        Database::Open(dir.path() + std::to_string(static_cast<int>(mode)),
-                       opts))
-            .value();
+  for (CommitPath path : {CommitPath::kFlusher, CommitPath::kInline}) {
+    Options opts = GroupCommitOptions(path);
+    auto db = std::move(Database::Open(dir.path() + "/db" +
+                                           std::to_string(static_cast<int>(path)),
+                                       opts))
+                  .value();
     Table* table = db->CreateTable("t", 2).value();
     ASSERT_TRUE(db->CreateIndex("t", "pk", 0, true).ok());
     FaultSpec spec;
@@ -339,7 +361,6 @@ TEST(GroupCommitTest, DiscardUnflushedRacesFlusherSafely) {
     LogManager lm(dir.path() + "/wal_" + std::to_string(round), &m,
                   /*fsync=*/false);
     ASSERT_OK(lm.Open());
-    lm.EnableGroupCommit(true, /*max_delay_us=*/round % 2 ? 100 : 0);
     lm.StartFlusher();
     std::atomic<bool> stop{false};
     std::vector<std::thread> ts;

@@ -83,6 +83,23 @@ TEST(LogManagerTest, FlushToMakesDurablePrefix) {
   }
 }
 
+TEST(LogManagerTest, CommitFlushOfDiscardedRecordFails) {
+  // With no flusher the committer flushes inline; a record the crash
+  // discarded leaves nothing to flush, and the commit must not be
+  // acknowledged.
+  TempDir dir("wal_commit_discarded");
+  Metrics m;
+  LogManager lm(dir.path() + "/wal", &m, false);
+  ASSERT_OK(lm.Open());
+  ASSERT_FALSE(lm.flusher_running());
+  LogRecord a = Update(1, "lost");
+  Lsn la = lm.Append(&a).value();
+  lm.DiscardUnflushed();
+  Status s = lm.CommitFlush(la + a.SerializedSize());
+  EXPECT_EQ(s.code(), Code::kIOError) << s.ToString();
+  EXPECT_LT(lm.flushed_lsn(), la + a.SerializedSize());
+}
+
 TEST(LogManagerTest, ReaderScansAllRecords) {
   TempDir dir("wal_scan");
   Metrics m;
