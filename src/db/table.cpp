@@ -32,6 +32,15 @@ BTree* Table::index(const std::string& name) const {
   return nullptr;
 }
 
+bool Table::DataOnly(const BTree* tree) const {
+  for (const auto& h : indexes_) {
+    if (h.tree == tree) {
+      return h.meta.protocol == LockingProtocolKind::kDataOnly;
+    }
+  }
+  return false;
+}
+
 Status Table::Insert(Transaction* txn, const Row& row, Rid* rid_out) {
   if (ctx_->health != nullptr) {
     ARIES_RETURN_NOT_OK(ctx_->health->CheckWritable());
@@ -137,15 +146,9 @@ Status Table::FetchByKey(Transaction* txn, const std::string& index_name,
   FetchResult res;
   ARIES_RETURN_NOT_OK(tree->Fetch(txn, key, FetchCond::kEq, &res));
   if (!res.found) return Status::OK();  // not-found state is lock-protected
-  bool data_only = false;
-  for (const auto& h : indexes_) {
-    if (h.meta.name == index_name) {
-      data_only = h.meta.protocol == LockingProtocolKind::kDataOnly;
-    }
-  }
   ARIES_ASSIGN_OR_RETURN(std::string data,
                          records_->FetchRecord(txn, heap_.get(), res.rid,
-                                               /*already_locked=*/data_only));
+                                               DataOnly(tree)));
   Row decoded;
   ARIES_RETURN_NOT_OK(DecodeRow(data, &decoded));
   *row = std::move(decoded);
@@ -153,10 +156,10 @@ Status Table::FetchByKey(Transaction* txn, const std::string& index_name,
   return Status::OK();
 }
 
-Status Table::FetchByRid(Transaction* txn, Rid rid, std::optional<Row>* row) {
+Status Table::FetchByRid(Transaction* txn, Rid rid, std::optional<Row>* row,
+                         bool already_locked) {
   row->reset();
-  auto data = records_->FetchRecord(txn, heap_.get(), rid,
-                                    /*already_locked=*/false);
+  auto data = records_->FetchRecord(txn, heap_.get(), rid, already_locked);
   if (!data.ok()) {
     if (data.status().IsNotFound()) return Status::OK();
     return data.status();
@@ -200,7 +203,7 @@ Status TableScan::Next(Transaction* txn, Row* row, Rid* rid, bool* done) {
     }
   }
   std::optional<Row> fetched;
-  ARIES_RETURN_NOT_OK(table_->FetchByRid(txn, res.rid, &fetched));
+  ARIES_RETURN_NOT_OK(table_->FetchByRid(txn, res.rid, &fetched, data_only_));
   if (!fetched.has_value()) {
     return Status::Corruption("scan: index key without record at " +
                               res.rid.ToString());

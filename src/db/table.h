@@ -37,6 +37,9 @@ class Table {
   void AttachIndex(IndexHandle h) { indexes_.push_back(std::move(h)); }
   const std::vector<IndexHandle>& indexes() const { return indexes_; }
   BTree* index(const std::string& name) const;
+  /// True if `tree` is one of this table's data-only indexes, whose key
+  /// locks are the record locks (paper §2.1).
+  bool DataOnly(const BTree* tree) const;
 
   /// Insert a row: record insert (commit X record lock) followed by a key
   /// insert into every index (instant X next-key locks). On failure the
@@ -59,8 +62,9 @@ class Table {
                     std::string_view key, std::optional<Row>* row,
                     Rid* rid_out = nullptr);
 
-  /// Direct heap read (S commit record lock).
-  Status FetchByRid(Transaction* txn, Rid rid, std::optional<Row>* row);
+  /// Direct heap read (S commit record lock unless `already_locked`).
+  Status FetchByRid(Transaction* txn, Rid rid, std::optional<Row>* row,
+                    bool already_locked = false);
 
  private:
   EngineContext* ctx_;
@@ -70,10 +74,12 @@ class Table {
   std::vector<IndexHandle> indexes_;
 };
 
-/// Index range scan over a table: yields full rows.
+/// Index range scan over a table: yields full rows. Over a data-only index
+/// Fetch Next already holds the record lock, so the heap read takes none.
 class TableScan {
  public:
-  TableScan(Table* table, BTree* tree) : table_(table), tree_(tree) {}
+  TableScan(Table* table, BTree* tree)
+      : table_(table), tree_(tree), data_only_(table->DataOnly(tree)) {}
 
   /// Position at the first key satisfying (start, cond).
   Status Open(Transaction* txn, std::string_view start, FetchCond cond);
@@ -84,6 +90,7 @@ class TableScan {
  private:
   Table* table_;
   BTree* tree_;
+  bool data_only_;
   ScanCursor cursor_;
   bool first_pending_ = false;
   FetchResult first_;

@@ -55,12 +55,14 @@ Status TransactionManager::EndNta(Transaction* txn) {
   return Status::OK();
 }
 
-Status TransactionManager::Commit(Transaction* txn) {
+Status TransactionManager::CommitImpl(Transaction* txn, bool lazy) {
   // Commit latency = append + durability wait + lock release, i.e. what the
-  // caller of Database::Commit experiences.
+  // caller of Database::Commit experiences. Lazy commits record their
+  // (short) append+enqueue window: that is still what the caller observes.
   ScopedLatency timer(metrics_ != nullptr ? &metrics_->commit_latency
                                           : nullptr);
-  ARIES_TRACE_SPAN(span, "txn.commit", TraceCat::kTxn, txn->id());
+  ARIES_TRACE_SPAN(span, lazy ? "txn.commit_async" : "txn.commit",
+                   TraceCat::kTxn, txn->id());
   // Adopt the thread's operation-phase wait accumulation (best-effort: it is
   // exact for the common one-transaction-per-thread pattern), then rebind
   // the attribution TLS to the committing transaction so the commit-path
@@ -72,53 +74,45 @@ Status TransactionManager::Commit(Transaction* txn) {
     }
   }
   ScopedCommitBreakdownBinding bind(&txn->breakdown());
-  LogRecord commit;
-  commit.type = LogType::kCommit;
-  const uint64_t append_start_ns = MonotonicNowNs();
-  Result<Lsn> lsn_res = AppendTxnLog(txn, &commit);
-  AddCommitSegment(CommitSegment::log_append,
-                   MonotonicNowNs() - append_start_ns);
-  ARIES_RETURN_NOT_OK(lsn_res.status());
-  Lsn lsn = lsn_res.value();
-  // Commit rule: force the log up to and including the commit record.
-  // CommitFlush coalesces with concurrent committers when group commit is
-  // on; a returned error means the commit record is NOT durable and the
-  // transaction must not be acknowledged (locks stay held — after a crash
-  // the transaction either survives whole or is rolled back by restart).
-  ARIES_RETURN_NOT_OK(log_->CommitFlush(lsn + commit.SerializedSize()));
-  ARIES_RETURN_NOT_OK(EndTransaction(txn, TxnState::kCommitted));
-  HarvestBreakdown(txn);
-  return Status::OK();
-}
-
-Status TransactionManager::CommitAsync(Transaction* txn) {
-  // Lazy commits record the (short) append+enqueue window into the same
-  // histogram: that is still the latency the caller observes.
-  ScopedLatency timer(metrics_ != nullptr ? &metrics_->commit_latency
-                                          : nullptr);
-  ARIES_TRACE_SPAN(span, "txn.commit_async", TraceCat::kTxn, txn->id());
-  if (CommitBreakdown* scratch = CurrentCommitBreakdown()) {
-    if (scratch != &txn->breakdown()) {
-      txn->breakdown() = *scratch;
-      scratch->Reset();
+  if (txn->last_lsn() != kNullLsn) {
+    LogRecord commit;
+    commit.type = LogType::kCommit;
+    const uint64_t append_start_ns = MonotonicNowNs();
+    Result<Lsn> lsn_res = AppendTxnLog(txn, &commit);
+    AddCommitSegment(CommitSegment::log_append,
+                     MonotonicNowNs() - append_start_ns);
+    ARIES_RETURN_NOT_OK(lsn_res.status());
+    const Lsn end = lsn_res.value() + commit.SerializedSize();
+    if (lazy) {
+      // Enqueue the durability request and release locks without waiting
+      // for the flush. Trades the D of ACID at crash time — a crash before
+      // the next group flush forgets this transaction (atomically, via
+      // restart undo) — for commit latency. Reads-from ordering stays safe:
+      // a later updater that saw our writes has a larger commit LSN, so it
+      // can only be durable if we are; a later read-only one forces up to
+      // lazy_commit_end_, published here before our locks are released.
+      log_->RequestFlush(end);
+      Lsn prev = lazy_commit_end_.load(std::memory_order_relaxed);
+      while (prev < end && !lazy_commit_end_.compare_exchange_weak(
+                               prev, end, std::memory_order_release)) {
+      }
+    } else {
+      // Commit rule: force the log up to and including the commit record.
+      // CommitFlush coalesces with concurrent committers when group commit
+      // is on; a returned error means the commit record is NOT durable and
+      // the transaction must not be acknowledged (locks stay held — after a
+      // crash the transaction either survives whole or is rolled back by
+      // restart).
+      ARIES_RETURN_NOT_OK(log_->CommitFlush(end));
+    }
+  } else if (!lazy) {
+    // Read-only: nothing to harden, so commit is lock release — unless a
+    // lazy commit whose writes we may have read is still volatile.
+    Lsn lazy_end = lazy_commit_end_.load(std::memory_order_acquire);
+    if (log_->flushed_lsn() < lazy_end) {
+      ARIES_RETURN_NOT_OK(log_->CommitFlush(lazy_end));
     }
   }
-  ScopedCommitBreakdownBinding bind(&txn->breakdown());
-  LogRecord commit;
-  commit.type = LogType::kCommit;
-  const uint64_t append_start_ns = MonotonicNowNs();
-  Result<Lsn> lsn_res = AppendTxnLog(txn, &commit);
-  AddCommitSegment(CommitSegment::log_append,
-                   MonotonicNowNs() - append_start_ns);
-  ARIES_RETURN_NOT_OK(lsn_res.status());
-  Lsn lsn = lsn_res.value();
-  // Lazy commit: enqueue the durability request and release locks without
-  // waiting for the flush. Trades the D of ACID at crash time — a crash
-  // before the next group flush forgets this transaction (atomically, via
-  // restart undo) — for commit latency. Reads-from ordering stays safe:
-  // any later transaction that saw our writes has a larger commit LSN, so
-  // it can only be durable if we are.
-  log_->RequestFlush(lsn + commit.SerializedSize());
   ARIES_RETURN_NOT_OK(EndTransaction(txn, TxnState::kCommitted));
   HarvestBreakdown(txn);
   return Status::OK();
@@ -151,13 +145,17 @@ Status TransactionManager::EndTransaction(Transaction* txn, TxnState final_state
   // checkpoint snapshotting this entry between the end-record append and
   // Forget() must not see a stale kActive for a resolved transaction.
   txn->set_state(final_state);
-  LogRecord end;
-  end.type = LogType::kEnd;
-  const uint64_t append_start_ns = MonotonicNowNs();
-  Status append_status = AppendTxnLog(txn, &end).status();
-  AddCommitSegment(CommitSegment::log_append,
-                   MonotonicNowNs() - append_start_ns);
-  ARIES_RETURN_NOT_OK(append_status);
+  // A transaction that logged nothing is invisible to analysis: no end
+  // record, and Snapshot() leaves it out of checkpoints.
+  if (txn->last_lsn() != kNullLsn) {
+    LogRecord end;
+    end.type = LogType::kEnd;
+    const uint64_t append_start_ns = MonotonicNowNs();
+    Status append_status = AppendTxnLog(txn, &end).status();
+    AddCommitSegment(CommitSegment::log_append,
+                     MonotonicNowNs() - append_start_ns);
+    ARIES_RETURN_NOT_OK(append_status);
+  }
   locks_->ReleaseAll(txn->id());
   Forget(txn->id());
   return Status::OK();
@@ -166,10 +164,12 @@ Status TransactionManager::EndTransaction(Transaction* txn, TxnState final_state
 Status TransactionManager::Rollback(Transaction* txn) {
   ARIES_TRACE_SPAN(span, "txn.rollback", TraceCat::kTxn, txn->id());
   txn->set_state(TxnState::kRollingBack);
-  LogRecord abort;
-  abort.type = LogType::kAbort;
-  ARIES_RETURN_NOT_OK(AppendTxnLog(txn, &abort).status());
-  ARIES_RETURN_NOT_OK(recovery_->UndoTransaction(txn, kNullLsn));
+  if (txn->last_lsn() != kNullLsn) {
+    LogRecord abort;
+    abort.type = LogType::kAbort;
+    ARIES_RETURN_NOT_OK(AppendTxnLog(txn, &abort).status());
+    ARIES_RETURN_NOT_OK(recovery_->UndoTransaction(txn, kNullLsn));
+  }
   return EndTransaction(txn, TxnState::kAborted);
 }
 
@@ -207,6 +207,9 @@ std::vector<TxnTableEntry> TransactionManager::Snapshot() {
   std::vector<TxnTableEntry> out;
   out.reserve(table_.size());
   for (auto& [id, txn] : table_) {
+    // Logged nothing yet: under mu_, any first record it appends lands
+    // after the begin-checkpoint, where analysis will find it.
+    if (txn->last_lsn() == kNullLsn) continue;
     out.push_back(TxnTableEntry{id, txn->state(), txn->last_lsn(),
                                 txn->undo_next_lsn()});
   }

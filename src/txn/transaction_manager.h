@@ -3,6 +3,7 @@
 // normal and restart undo share one code path), and nested top actions.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -37,14 +38,20 @@ class TransactionManager {
   void SetRecovery(RecoveryManager* r) { recovery_ = r; }
 
   Transaction* Begin();
-  Status Commit(Transaction* txn);
+  /// Commit record + log force + lock release. A transaction that logged
+  /// nothing writes no record and forces only a still-volatile lazy commit
+  /// it may have read from (lazy_commit_end_).
+  Status Commit(Transaction* txn) { return CommitImpl(txn, /*lazy=*/false); }
   /// Lazy (asynchronous-durability) commit: append the commit record,
   /// request — but do not await — its group flush, and release locks
   /// immediately. A crash before the flush erases the transaction
   /// atomically; an explicit FlushAll (or any later synchronous commit)
   /// hardens it. Benchmark/opt-in path; Commit() is the ACID one.
-  Status CommitAsync(Transaction* txn);
-  /// Total rollback, then end. The transaction object stays valid (state
+  Status CommitAsync(Transaction* txn) {
+    return CommitImpl(txn, /*lazy=*/true);
+  }
+  /// Total rollback, then end; a transaction that logged nothing just
+  /// releases its locks. The transaction object stays valid (state
   /// kAborted) until released by the caller.
   Status Rollback(Transaction* txn);
   /// Partial rollback to a savepoint previously captured via
@@ -80,6 +87,7 @@ class TransactionManager {
   LogManager* log() { return log_; }
 
  private:
+  Status CommitImpl(Transaction* txn, bool lazy);
   /// Record the transaction's CommitBreakdown into the commit_seg_*
   /// histograms and emit the per-segment trace instants (PR 9). Called after
   /// a successful Commit/CommitAsync; zero segments are recorded too so
@@ -90,6 +98,9 @@ class TransactionManager {
   LockManager* locks_;
   Metrics* metrics_ = nullptr;
   RecoveryManager* recovery_ = nullptr;
+
+  /// Byte just past the highest lazy commit record (an atomic max).
+  std::atomic<Lsn> lazy_commit_end_{kNullLsn};
 
   std::mutex mu_;
   TxnId next_id_ = 1;

@@ -107,6 +107,10 @@ struct WorkloadParams {
   /// Transient faults: retry Commit/Rollback until the error heals, so every
   /// transaction reaches a definite outcome. Off for fail-stop faults.
   bool retry_errors = false;
+  /// Percent chance, before each update transaction, of a read-only one
+  /// (reads of the thread's own keys, a checkpoint while it is open, then
+  /// commit or rollback). It logs nothing, so restart must never see it.
+  int read_only_pct = 0;
 };
 
 /// Run a randomized multi-threaded insert/delete workload against `table`.
@@ -119,17 +123,37 @@ inline void RunFaultWorkload(Database* db, Table* table, uint64_t seed,
   auto worker = [&](int t) {
     Random rnd(seed * 2654435761u + static_cast<uint64_t>(t));
     const std::string prefix = "t" + std::to_string(t) + "-";
+    auto pick_key = [&] {
+      return prefix +
+             rnd.Key(rnd.Uniform(static_cast<uint64_t>(p.keys_per_thread)), 3);
+    };
     for (int txn_i = 0; txn_i < p.txns_per_thread; ++txn_i) {
       if (p.stop_on_trip && inj->tripped()) return;
+      if (p.read_only_pct > 0 && rnd.Percent(p.read_only_pct)) {
+        Transaction* reader = db->Begin();
+        Status s;
+        for (int op = static_cast<int>(rnd.Range(1, 4)); op > 0 && s.ok();
+             --op) {
+          std::optional<Row> row;
+          s = table->FetchByKey(reader, "pk", pick_key(), &row);
+          if (s.ok() && rnd.Percent(30)) (void)db->Checkpoint();
+        }
+        s = s.ok() && rnd.Percent(75) ? db->Commit(reader)
+                                      : db->Rollback(reader);
+        if (!s.ok()) {
+          if (!inj->tripped()) {
+            ADD_FAILURE() << "read-only transaction failed without a fault: "
+                          << s.ToString();
+          }
+          return;
+        }
+      }
       Transaction* txn = db->Begin();
       std::map<std::string, std::optional<std::string>> intents;
       bool op_failed = false;
       int nops = static_cast<int>(rnd.Range(1, 6));
       for (int op = 0; op < nops && !op_failed; ++op) {
-        std::string key =
-            prefix + rnd.Key(rnd.Uniform(static_cast<uint64_t>(
-                                 p.keys_per_thread)),
-                             3);
+        std::string key = pick_key();
         Status s;
         if (rnd.Percent(60)) {
           std::string value = "v" + std::to_string(rnd.Uniform(1000));

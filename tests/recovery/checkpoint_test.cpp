@@ -43,6 +43,39 @@ TEST(CheckpointTest, FuzzyCheckpointWithInFlightTxn) {
   EXPECT_EQ(keys, 0u) << "records before the fuzzy checkpoint escaped undo";
 }
 
+// A read-only transaction open across a fuzzy checkpoint has no log
+// record; the snapshot leaves it out, so restart neither adopts it as a
+// loser nor writes an end record for it.
+TEST(CheckpointTest, ReadOnlyTxnNotInSnapshot) {
+  TempDir dir("ckpt_read_only");
+  auto db = std::move(Database::Open(dir.path(), SmallPageOptions())).value();
+  Table* t = db->CreateTable("t", 2).value();
+  ASSERT_TRUE(db->CreateIndex("t", "pk", 0, true).ok());
+  Transaction* setup = db->Begin();
+  ASSERT_OK(t->Insert(setup, {"k", "v"}));
+  ASSERT_OK(db->Commit(setup));
+
+  Transaction* reader = db->Begin();
+  std::optional<Row> row;
+  ASSERT_OK(t->FetchByKey(reader, "pk", "k", &row));
+  ASSERT_TRUE(row.has_value());
+  ASSERT_OK(db->Checkpoint());
+  ASSERT_OK(db->wal()->FlushAll());
+  const Lsn crash_end = db->wal()->next_lsn();
+  const TxnId reader_id = reader->id();
+  db->SimulateCrash();
+
+  auto db2 = std::move(Database::Open(dir.path(), SmallPageOptions())).value();
+  EXPECT_EQ(db2->restart_stats().loser_txns, 0u);
+  LogManager::Reader log(db2->wal(), crash_end);
+  LogRecord rec;
+  while (log.Next(&rec).ok()) {
+    EXPECT_NE(rec.txn_id, reader_id)
+        << "restart logged type " << static_cast<int>(rec.type)
+        << " for the read-only transaction";
+  }
+}
+
 TEST(CheckpointTest, AutoCheckpointByLogGrowth) {
   TempDir dir("ckpt_auto");
   Options o = SmallPageOptions();

@@ -5,7 +5,9 @@
 //   random page steals (FlushPage) along the way; crash at a random point;
 //   recover; assert the database equals the reference model of exactly the
 //   committed transactions, and the tree validates. Repeat with a second
-//   crash during recovery for good measure.
+//   crash during recovery for good measure. Read-only transactions, some
+//   open across checkpoints and one in flight at the crash, check reads
+//   against the reference and must never surface as restart losers.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -26,6 +28,7 @@ class CrashRandomTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(CrashRandomTest, RecoveredStateEqualsCommittedReference) {
   uint64_t seed = GetParam();
   Random rnd(seed);
+  Random ro_rnd(seed ^ 0x5eadull);  // read-only txns: leaves rnd's stream be
   TempDir dir("crash_rnd");
   auto db = std::move(Database::Open(dir.path(), SmallPageOptions())).value();
   Table* table = db->CreateTable("t", 2).value();
@@ -36,6 +39,21 @@ TEST_P(CrashRandomTest, RecoveredStateEqualsCommittedReference) {
   const int kKeySpace = 60;
 
   for (int t = 0; t < kTxns; ++t) {
+    // A read-only transaction: reads checked against the reference, maybe
+    // a checkpoint while it is open, then commit or rollback.
+    if (ro_rnd.Percent(30)) {
+      Transaction* reader = db->Begin();
+      for (int i = static_cast<int>(ro_rnd.Range(1, 3)); i > 0; --i) {
+        std::string key = "k" + ro_rnd.Key(ro_rnd.Uniform(kKeySpace), 3);
+        std::optional<Row> row;
+        ASSERT_OK(table->FetchByKey(reader, "pk", key, &row));
+        auto it = committed.find(key);
+        ASSERT_EQ(row.has_value(), it != committed.end()) << "seed " << seed;
+        if (row.has_value()) EXPECT_EQ((*row)[1], it->second);
+        if (ro_rnd.Percent(20)) ASSERT_OK(db->Checkpoint());
+      }
+      ASSERT_OK(ro_rnd.Percent(70) ? db->Commit(reader) : db->Rollback(reader));
+    }
     Transaction* txn = db->Begin();
     std::map<std::string, std::optional<std::string>> intents;
     int nops = static_cast<int>(rnd.Range(1, 8));
@@ -82,6 +100,15 @@ TEST_P(CrashRandomTest, RecoveredStateEqualsCommittedReference) {
   // Leave one transaction in flight at the crash.
   Transaction* in_flight = db->Begin();
   (void)table->Insert(in_flight, {"zz-inflight", "boom"});
+  // And a reader across a checkpoint. It reads a live key only: a missing
+  // one may S-lock the next key, which in_flight's record can be.
+  Transaction* reader = db->Begin();
+  if (!committed.empty()) {
+    std::optional<Row> row;
+    ASSERT_OK(table->FetchByKey(reader, "pk", committed.begin()->first, &row));
+    ASSERT_TRUE(row.has_value()) << "seed " << seed;
+  }
+  ASSERT_OK(db->Checkpoint());
   ASSERT_OK(db->wal()->FlushAll());
   for (PageId pid = 0; pid < 100; ++pid) {
     if (rnd.Percent(40)) (void)db->FlushPage(pid);
@@ -97,6 +124,7 @@ TEST_P(CrashRandomTest, RecoveredStateEqualsCommittedReference) {
     RestartStats stats;
     Status s = crashed->recovery()->Restart(&stats);
     (void)s;  // may or may not hit the injection
+    EXPECT_EQ(stats.loser_txns, 1u) << "seed " << seed << ": only in_flight";
     ASSERT_OK(crashed->wal()->FlushAll());
     crashed->SimulateCrash();
   }

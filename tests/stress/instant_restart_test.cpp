@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "db/database.h"
@@ -104,12 +105,20 @@ class InstantRestartTest : public ::testing::TestWithParam<uint64_t> {
     SeedBaseRows();
     WorkloadParams p;
     p.stop_on_trip = false;
+    p.read_only_pct = 30;
     RunFaultWorkload(db_.get(), table_, GetParam(), p, &trace_);
     ASSERT_TRUE(trace_.indoubt.empty()) << "no fault was armed";
     // Leave one transaction in flight so the undo pass has a loser whose
-    // CLRs both recovery modes must append identically.
+    // CLRs both recovery modes must append identically — and a read-only
+    // one across a checkpoint, which neither mode may count as a loser.
     Transaction* inflight = db_->Begin();
     ASSERT_OK(table_->Insert(inflight, {"zz-inflight", "boom"}));
+    ASSERT_FALSE(trace_.committed.empty());
+    Transaction* reader = db_->Begin();
+    std::optional<Row> row;
+    ASSERT_OK(table_->FetchByKey(reader, "pk", trace_.committed.begin()->first,
+                                 &row));
+    ASSERT_OK(db_->Checkpoint());
     ASSERT_OK(db_->wal()->FlushAll());
     db_->SimulateCrash();
     MaybeKeepCrashImage(dir_->path());
@@ -149,6 +158,7 @@ TEST_P(OracleABTest, ByteIdenticalToClassicRestart) {
   // A: classic oracle.
   Reopen(dir_a, ClassicOptions());
   EXPECT_FALSE(db_->restart_stats().instant);
+  EXPECT_EQ(db_->restart_stats().loser_txns, 1u);
   VerifyDatabaseState(db_.get(), &trace_, GetParam());
   CheckRestartConsistency(db_.get(), GetParam());
   db_.reset();  // clean close: checkpoint + flush
@@ -156,6 +166,7 @@ TEST_P(OracleABTest, ByteIdenticalToClassicRestart) {
   // B: instant restart, drained deterministically (no sweeper).
   Reopen(dir_b, InstantOptions());
   EXPECT_TRUE(db_->restart_stats().instant);
+  EXPECT_EQ(db_->restart_stats().loser_txns, 1u);
   EXPECT_EQ(db_->restart_stats().redo_records, 0u)
       << "instant restart must not run the sequential redo pass";
   const uint64_t scheduled = db_->restart_stats().lazy_pages_scheduled;
