@@ -113,6 +113,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long>(phantom_violations.load()),
               phantom_violations.load() == 0 ? "RR holds — no phantoms"
                                              : "PHANTOMS DETECTED!");
-  std::printf("metrics: %s\n", db->metrics().ToString().c_str());
+  std::printf("metrics: %s\n", db->metrics().ToJson().c_str());
   return phantom_violations.load() == 0 ? 0 : 1;
 }

@@ -91,6 +91,6 @@ int main(int argc, char** argv) {
   CHECK_OK(db->Commit(verify));
 
   // 7. Instrumentation.
-  std::printf("metrics: %s\n", db->metrics().ToString().c_str());
+  std::printf("metrics: %s\n", db->metrics().ToJson().c_str());
   return 0;
 }

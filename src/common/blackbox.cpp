@@ -4,268 +4,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 
 #include "common/clock.h"
+#include "common/json.h"
 
 namespace ariesim {
-
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON validator + shallow field collector. No
-// allocation-heavy DOM: blackbox_dump and the tests only need "is this a
-// complete document" plus the scalar fields of the first two object levels.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct JsonCursor {
-  const char* begin;
-  const char* p;
-  const char* end;
-  std::map<std::string, std::string>* fields;
-  std::string* err;
-};
-
-bool Fail(JsonCursor* c, const char* msg) {
-  if (c->err != nullptr && c->err->empty()) {
-    *c->err = msg;
-    *c->err +=
-        " at offset " + std::to_string(static_cast<size_t>(c->p - c->begin));
-  }
-  return false;
-}
-
-void SkipWs(JsonCursor* c) {
-  while (c->p < c->end &&
-         (*c->p == ' ' || *c->p == '\t' || *c->p == '\n' || *c->p == '\r')) {
-    ++c->p;
-  }
-}
-
-bool ParseString(JsonCursor* c, std::string* out) {
-  if (c->p >= c->end || *c->p != '"') return Fail(c, "expected string");
-  ++c->p;
-  while (c->p < c->end) {
-    unsigned char ch = static_cast<unsigned char>(*c->p);
-    if (ch == '"') {
-      ++c->p;
-      return true;
-    }
-    if (ch == '\\') {
-      ++c->p;
-      if (c->p >= c->end) return Fail(c, "truncated escape");
-      char e = *c->p;
-      switch (e) {
-        case '"': if (out) *out += '"'; break;
-        case '\\': if (out) *out += '\\'; break;
-        case '/': if (out) *out += '/'; break;
-        case 'b': if (out) *out += '\b'; break;
-        case 'f': if (out) *out += '\f'; break;
-        case 'n': if (out) *out += '\n'; break;
-        case 'r': if (out) *out += '\r'; break;
-        case 't': if (out) *out += '\t'; break;
-        case 'u': {
-          if (c->end - c->p < 5) return Fail(c, "truncated \\u escape");
-          for (int i = 1; i <= 4; ++i) {
-            if (!std::isxdigit(static_cast<unsigned char>(c->p[i]))) {
-              return Fail(c, "bad \\u escape");
-            }
-          }
-          unsigned cp = 0;
-          for (int i = 1; i <= 4; ++i) {
-            char d = c->p[i];
-            cp = cp * 16 + static_cast<unsigned>(
-                               d <= '9' ? d - '0' : (d | 0x20) - 'a' + 10);
-          }
-          // ASCII decodes exactly (all our own escaper ever emits);
-          // anything wider keeps a placeholder — the record is forensic
-          // text, not a unicode round-trip.
-          if (out) *out += cp < 0x80 ? static_cast<char>(cp) : '?';
-          c->p += 4;
-          break;
-        }
-        default:
-          return Fail(c, "bad escape character");
-      }
-      ++c->p;
-      continue;
-    }
-    if (ch < 0x20) return Fail(c, "raw control character in string");
-    if (out) *out += static_cast<char>(ch);
-    ++c->p;
-  }
-  return Fail(c, "unterminated string");
-}
-
-bool ParseNumber(JsonCursor* c, std::string* out) {
-  const char* start = c->p;
-  if (c->p < c->end && *c->p == '-') ++c->p;
-  if (c->p >= c->end || !std::isdigit(static_cast<unsigned char>(*c->p))) {
-    return Fail(c, "bad number");
-  }
-  while (c->p < c->end && std::isdigit(static_cast<unsigned char>(*c->p))) {
-    ++c->p;
-  }
-  if (c->p < c->end && *c->p == '.') {
-    ++c->p;
-    if (c->p >= c->end || !std::isdigit(static_cast<unsigned char>(*c->p))) {
-      return Fail(c, "bad fraction");
-    }
-    while (c->p < c->end && std::isdigit(static_cast<unsigned char>(*c->p))) {
-      ++c->p;
-    }
-  }
-  if (c->p < c->end && (*c->p == 'e' || *c->p == 'E')) {
-    ++c->p;
-    if (c->p < c->end && (*c->p == '+' || *c->p == '-')) ++c->p;
-    if (c->p >= c->end || !std::isdigit(static_cast<unsigned char>(*c->p))) {
-      return Fail(c, "bad exponent");
-    }
-    while (c->p < c->end && std::isdigit(static_cast<unsigned char>(*c->p))) {
-      ++c->p;
-    }
-  }
-  if (out) out->assign(start, static_cast<size_t>(c->p - start));
-  return true;
-}
-
-bool ParseLiteral(JsonCursor* c, const char* lit, std::string* out) {
-  size_t n = std::strlen(lit);
-  if (static_cast<size_t>(c->end - c->p) < n ||
-      std::memcmp(c->p, lit, n) != 0) {
-    return Fail(c, "bad literal");
-  }
-  c->p += n;
-  if (out) *out = lit;
-  return true;
-}
-
-bool ParseValue(JsonCursor* c, const std::string& path, int depth);
-
-bool ParseObject(JsonCursor* c, const std::string& path, int depth) {
-  ++c->p;  // consume '{'
-  SkipWs(c);
-  if (c->p < c->end && *c->p == '}') {
-    ++c->p;
-    return true;
-  }
-  while (true) {
-    SkipWs(c);
-    std::string key;
-    if (!ParseString(c, &key)) return false;
-    SkipWs(c);
-    if (c->p >= c->end || *c->p != ':') return Fail(c, "expected ':'");
-    ++c->p;
-    SkipWs(c);
-    std::string child_path;
-    if (depth <= 2) {
-      child_path = path.empty() ? key : path + "." + key;
-    }
-    if (!ParseValue(c, child_path, depth)) return false;
-    SkipWs(c);
-    if (c->p >= c->end) return Fail(c, "unterminated object");
-    if (*c->p == ',') {
-      ++c->p;
-      continue;
-    }
-    if (*c->p == '}') {
-      ++c->p;
-      return true;
-    }
-    return Fail(c, "expected ',' or '}'");
-  }
-}
-
-bool ParseArray(JsonCursor* c, int depth) {
-  ++c->p;  // consume '['
-  SkipWs(c);
-  if (c->p < c->end && *c->p == ']') {
-    ++c->p;
-    return true;
-  }
-  while (true) {
-    SkipWs(c);
-    if (!ParseValue(c, std::string(), depth)) return false;
-    SkipWs(c);
-    if (c->p >= c->end) return Fail(c, "unterminated array");
-    if (*c->p == ',') {
-      ++c->p;
-      continue;
-    }
-    if (*c->p == ']') {
-      ++c->p;
-      return true;
-    }
-    return Fail(c, "expected ',' or ']'");
-  }
-}
-
-bool ParseValue(JsonCursor* c, const std::string& path, int depth) {
-  if (depth > 64) return Fail(c, "nesting too deep");
-  SkipWs(c);
-  if (c->p >= c->end) return Fail(c, "unexpected end of input");
-  // Collect scalars of the first two object levels; path is empty for
-  // deeper values and array elements, so they are validated only.
-  const bool collect = c->fields != nullptr && !path.empty() && depth <= 2;
-  std::string scalar;
-  std::string* sink = collect ? &scalar : nullptr;
-  bool ok;
-  switch (*c->p) {
-    case '{': ok = ParseObject(c, path, depth + 1); break;
-    case '[': ok = ParseArray(c, depth + 1); break;
-    case '"': ok = ParseString(c, sink); break;
-    case 't': ok = ParseLiteral(c, "true", sink); break;
-    case 'f': ok = ParseLiteral(c, "false", sink); break;
-    case 'n': ok = ParseLiteral(c, "null", sink); break;
-    default: ok = ParseNumber(c, sink); break;
-  }
-  if (ok && sink != nullptr) (*c->fields)[path] = scalar;
-  return ok;
-}
-
-}  // namespace
-
-bool ParseJson(const std::string& text,
-               std::map<std::string, std::string>* fields, std::string* err) {
-  JsonCursor c{text.data(), text.data(), text.data() + text.size(), fields,
-               err};
-  if (!ParseValue(&c, std::string(), 0)) return false;
-  SkipWs(&c);
-  if (c.p != c.end) {
-    if (err != nullptr && err->empty()) *err = "trailing garbage after value";
-    return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// BlackBox
-// ---------------------------------------------------------------------------
 
 BlackBox::BlackBox(std::string path, Metrics* metrics)
     : path_(std::move(path)), metrics_(metrics) {}
@@ -324,15 +70,14 @@ Status BlackBox::Capture(const char* trigger, const std::string& reason) {
 
   std::string out;
   out.reserve(16384);
-  out += "{\"version\":1";
-  out += ",\"seq\":" + std::to_string(++seq_);  // 1-based: seq 1 = first
-  out += ",\"ts_unix_ms\":" + std::to_string(now_ms);
-  out += ",\"pid\":" + std::to_string(static_cast<long>(::getpid()));
-  out += ",\"trigger\":\"";
-  AppendJsonEscaped(trigger, &out);
-  out += "\",\"reason\":\"";
-  AppendJsonEscaped(reason, &out);
-  out += "\"";
+  JsonWriter w(&out);
+  w.BeginObject()
+      .Key("version").Uint(1)
+      .Key("seq").Uint(++seq_)  // 1-based: seq 1 = first
+      .Key("ts_unix_ms").Uint(now_ms)
+      .Key("pid").Uint(static_cast<uint64_t>(::getpid()))
+      .Key("trigger").String(trigger)
+      .Key("reason").String(reason);
 
   const bool is_incident = std::strcmp(trigger, "cadence") != 0 &&
                            std::strcmp(trigger, "clean_shutdown") != 0;
@@ -341,20 +86,20 @@ Status BlackBox::Capture(const char* trigger, const std::string& reason) {
     // cadence refreshes or follow-on incidents (a flush failure escalating
     // into a health trip and then a crash) — keep pointing at the root
     // cause even after they overwrite its full record.
-    incident_memo_ = "{\"trigger\":\"";
-    AppendJsonEscaped(trigger, &incident_memo_);
-    incident_memo_ += "\",\"reason\":\"";
-    AppendJsonEscaped(reason, &incident_memo_);
-    incident_memo_ += "\",\"ts_unix_ms\":" + std::to_string(now_ms);
-    incident_memo_ += ",\"seq\":" + std::to_string(seq_) + "}";
+    JsonWriter(&incident_memo_).BeginObject()
+        .Key("trigger").String(trigger)
+        .Key("reason").String(reason)
+        .Key("ts_unix_ms").Uint(now_ms)
+        .Key("seq").Uint(seq_)
+        .EndObject();
   }
-  out += ",\"incident\":" + (incident_memo_.empty() ? "null" : incident_memo_);
-  out += ",\"prev\":" + (prev_incident_.empty() ? "null" : prev_incident_);
-
-  if (builder_) {
-    out += builder_(trigger, reason);
-  }
-  out += "}";
+  w.Key("incident");
+  incident_memo_.empty() ? w.Null() : w.Raw(incident_memo_);
+  w.Key("prev");
+  prev_incident_.empty() ? w.Null() : w.Raw(prev_incident_);
+  // The builder's ','-prefixed engine-state members join the envelope as-is.
+  if (builder_) out += builder_(trigger, reason);
+  w.EndObject();
 
   Status s = WriteAtomic(out);
   if (s.ok()) {
@@ -447,9 +192,9 @@ std::string BlackBox::SpliceField(const std::string& object_json,
                                   const std::string& value_json) {
   size_t end = object_json.find_last_of('}');
   if (end == std::string::npos) return object_json;
-  std::string out = object_json.substr(0, end);
-  out += ",\"" + key + "\":" + value_json + "}";
-  return out;
+  std::string out = object_json.substr(0, end) + ',';
+  JsonWriter(&out).Key(key).Raw(value_json);
+  return out + '}';
 }
 
 }  // namespace ariesim

@@ -26,7 +26,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -35,20 +34,6 @@
 #include "common/status.h"
 
 namespace ariesim {
-
-/// Append `s` to `*out` as JSON string content (no surrounding quotes):
-/// escapes `"`, `\` and control characters.
-void AppendJsonEscaped(const std::string& s, std::string* out);
-
-/// Validate that `text` is one complete JSON value (RFC 8259 subset: full
-/// grammar, \u escapes accepted, depth-limited). On success, `fields` (if
-/// non-null) receives every scalar reachable within two object levels as
-/// dotted-path -> unescaped text (e.g. "wal.durable_lsn" -> "4096",
-/// "trigger" -> "simulate_crash"); deeper scalars and array elements are
-/// validated but not collected. Shared by blackbox_dump, the schema lint and
-/// the tests so "parses" means the same thing everywhere.
-bool ParseJson(const std::string& text,
-               std::map<std::string, std::string>* fields, std::string* err);
 
 class BlackBox {
  public:

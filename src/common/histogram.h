@@ -3,7 +3,7 @@
 // HdrHistogram-style bucketing: values are binned by their power of two
 // (major bucket) subdivided into kSubBuckets linear sub-buckets, giving a
 // constant relative error of at most 1/kSubBuckets (12.5%) across the whole
-// 64-bit range with a fixed ~4 KiB of storage. Record() is three relaxed
+// 64-bit range with a fixed ~4 KiB of storage. Record() is two relaxed
 // fetch_adds plus a CAS loop for the max — safe from any thread, never
 // blocking, and cheap enough to leave on in production builds (the operations
 // we measure — fsyncs, page reads, lock waits — are microseconds at best).
@@ -78,7 +78,6 @@ class LatencyHistogram {
 
   void Record(uint64_t ns) {
     buckets_[BucketFor(ns)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(ns, std::memory_order_relaxed);
     uint64_t prev = max_.load(std::memory_order_relaxed);
     while (ns > prev &&
@@ -86,7 +85,12 @@ class LatencyHistogram {
     }
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// Observations so far: the bucket sum, with Snapshot()'s fuzziness.
+  uint64_t count() const {
+    uint64_t total = 0;
+    for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
+    return total;
+  }
 
   HistogramSnapshot Snapshot() const {
     HistogramSnapshot s;
@@ -120,7 +124,6 @@ class LatencyHistogram {
 
   void Reset() {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
     sum_.store(0, std::memory_order_relaxed);
     max_.store(0, std::memory_order_relaxed);
   }
@@ -140,7 +143,6 @@ class LatencyHistogram {
   }
 
   std::atomic<uint64_t> buckets_[kNumBuckets]{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
 };

@@ -37,11 +37,12 @@ namespace ariesim {
 /// Returned by Database::Stats(); ToJson() is what `.stats` in tools/ariesh
 /// prints and what benches archive.
 struct DatabaseStats {
-  std::string metrics_json;  ///< Metrics::ToJson() — counters + histograms
-  /// Commit critical-path attribution (PR 9): per-segment latency stats with
-  /// share-of-total plus the accounting check against commit_latency. Schema
-  /// in docs/OBSERVABILITY.md "Commit critical-path attribution".
-  std::string commit_breakdown_json;
+  /// Every counter and histogram, read once. Rendered as both the `metrics`
+  /// section and the `commit_breakdown` section (per-segment latency stats
+  /// with share-of-total plus the accounting check against commit_latency;
+  /// schema in docs/OBSERVABILITY.md "Commit critical-path attribution"), so
+  /// the two always describe the same instant.
+  MetricsSnapshot metrics;
   /// Concurrency forensics (PR 5): lock-table snapshot, postmortem ring,
   /// contention tables, cycle-length distribution, watchdog state. Schema in
   /// docs/OBSERVABILITY.md.

@@ -1,33 +1,22 @@
 #include "lock/lock_forensics.h"
 
+#include "common/json.h"
+
 namespace ariesim {
 
 namespace {
 
-void AppendLockNameJson(const LockName& n, std::string* out) {
-  *out += '"';
-  *out += n.ToString();
-  *out += '"';
-}
-
-void AppendRequestJson(const LockRequestInfo& r, std::string* out) {
-  *out += "{\"txn\":" + std::to_string(r.txn);
-  *out += ",\"mode\":\"";
-  *out += LockModeName(r.mode);
-  *out += "\",\"granted\":";
-  *out += r.granted ? "true" : "false";
-  if (r.converting) {
-    *out += ",\"converting_to\":\"";
-    *out += LockModeName(r.conv_target);
-    *out += '"';
-  }
+void WriteRequestJson(const LockRequestInfo& r, JsonWriter* w) {
+  w->BeginObject()
+      .Key("txn").Uint(r.txn)
+      .Key("mode").String(LockModeName(r.mode))
+      .Key("granted").Bool(r.granted);
+  if (r.converting) w->Key("converting_to").String(LockModeName(r.conv_target));
   if (r.wait_us > 0 || (!r.granted || r.converting)) {
-    *out += ",\"wait_us\":" + std::to_string(r.wait_us);
+    w->Key("wait_us").Uint(r.wait_us);
   }
-  if (r.granted) {
-    *out += ",\"grant_us\":" + std::to_string(r.grant_us);
-  }
-  *out += '}';
+  if (r.granted) w->Key("grant_us").Uint(r.grant_us);
+  w->EndObject();
 }
 
 }  // namespace
@@ -65,53 +54,39 @@ std::string LockTableSnapshot::ToString() const {
 std::string LockTableSnapshot::ToJson() const {
   std::string out;
   out.reserve(256 + queues.size() * 128);
-  out += "{\"captured_at_ns\":" + std::to_string(captured_at_ns);
-  out += ",\"queues\":[";
-  bool first = true;
+  JsonWriter w(&out);
+  w.BeginObject()
+      .Key("captured_at_ns").Uint(captured_at_ns)
+      .Key("queues").BeginArray();
   for (const auto& q : queues) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":";
-    AppendLockNameJson(q.name, &out);
-    out += ",\"requests\":[";
-    bool rf = true;
-    for (const auto& r : q.requests) {
-      if (!rf) out += ',';
-      rf = false;
-      AppendRequestJson(r, &out);
-    }
-    out += "]}";
+    w.BeginObject()
+        .Key("name").String(q.name.ToString())
+        .Key("requests").BeginArray();
+    for (const auto& r : q.requests) WriteRequestJson(r, &w);
+    w.EndArray().EndObject();
   }
-  out += "],\"txns\":[";
-  first = true;
+  w.EndArray().Key("txns").BeginArray();
   for (const auto& t : txns) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"txn\":" + std::to_string(t.txn);
-    out += ",\"held\":" + std::to_string(t.held);
-    out += ",\"blocked\":";
-    out += t.blocked ? "true" : "false";
+    w.BeginObject()
+        .Key("txn").Uint(t.txn)
+        .Key("held").Uint(t.held)
+        .Key("blocked").Bool(t.blocked);
     if (t.blocked) {
-      out += ",\"blocked_on\":";
-      AppendLockNameJson(t.blocked_on, &out);
-      out += ",\"blocked_mode\":\"";
-      out += LockModeName(t.blocked_mode);
-      out += "\",\"blocked_us\":" + std::to_string(t.blocked_us);
+      w.Key("blocked_on").String(t.blocked_on.ToString())
+          .Key("blocked_mode").String(LockModeName(t.blocked_mode))
+          .Key("blocked_us").Uint(t.blocked_us);
     }
-    out += '}';
+    w.EndObject();
   }
-  out += "],\"edges\":[";
-  first = true;
+  w.EndArray().Key("edges").BeginArray();
   for (const auto& e : edges) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"waiter\":" + std::to_string(e.waiter);
-    out += ",\"holder\":" + std::to_string(e.holder);
-    out += ",\"name\":";
-    AppendLockNameJson(e.name, &out);
-    out += '}';
+    w.BeginObject()
+        .Key("waiter").Uint(e.waiter)
+        .Key("holder").Uint(e.holder)
+        .Key("name").String(e.name.ToString())
+        .EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 
@@ -142,10 +117,8 @@ std::string LockTableSnapshot::ToDot() const {
 
 std::string DeadlockPostmortem::Summary() const {
   std::string out = "cycle[len=" + std::to_string(cycle.size()) + "]";
-  bool first = true;
   for (const auto& n : cycle) {
-    out += first ? " " : " -> ";
-    first = false;
+    out += &n == &cycle.front() ? " " : " -> ";
     out += "txn" + std::to_string(n.txn) + "(";
     if (n.had_grant) {
       out += std::string(LockModeName(n.granted_mode)) + "->";
@@ -158,31 +131,24 @@ std::string DeadlockPostmortem::Summary() const {
 }
 
 std::string DeadlockPostmortem::ToJson() const {
-  std::string out = "{\"seq\":" + std::to_string(seq);
-  out += ",\"at_ns\":" + std::to_string(at_ns);
-  out += ",\"wall_unix_us\":" + std::to_string(wall_unix_us);
-  out += ",\"victim\":" + std::to_string(victim);
-  out += ",\"victim_wait_us\":" + std::to_string(victim_wait_us);
-  out += ",\"cycle\":[";
-  bool first = true;
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject()
+      .Key("seq").Uint(seq)
+      .Key("at_ns").Uint(at_ns)
+      .Key("wall_unix_us").Uint(wall_unix_us)
+      .Key("victim").Uint(victim)
+      .Key("victim_wait_us").Uint(victim_wait_us)
+      .Key("cycle").BeginArray();
   for (const auto& n : cycle) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"txn\":" + std::to_string(n.txn);
-    out += ",\"name\":";
-    AppendLockNameJson(n.name, &out);
-    out += ",\"requested\":\"";
-    out += LockModeName(n.requested);
-    out += '"';
-    if (n.had_grant) {
-      out += ",\"granted\":\"";
-      out += LockModeName(n.granted_mode);
-      out += '"';
-    }
-    out += ",\"wait_us\":" + std::to_string(n.wait_us);
-    out += '}';
+    w.BeginObject()
+        .Key("txn").Uint(n.txn)
+        .Key("name").String(n.name.ToString())
+        .Key("requested").String(LockModeName(n.requested));
+    if (n.had_grant) w.Key("granted").String(LockModeName(n.granted_mode));
+    w.Key("wait_us").Uint(n.wait_us).EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/json.h"
+
 namespace ariesim {
 
 const char* FaultSiteName(FaultSite site) {
@@ -176,23 +178,15 @@ std::string FaultInjector::Describe() const {
 
 std::string FaultInjector::StateJson() const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::string out = "{\"kind\":\"";
-  out += FaultKindName(spec_.kind);
-  out += "\",\"site\":\"";
-  out += FaultSiteName(spec_.site);
-  out += "\",\"armed\":";
-  out += armed_ ? "true" : "false";
-  out += ",\"frozen\":";
-  out += frozen_.load(std::memory_order_relaxed) ? "true" : "false";
-  out += ",\"fires\":";
-  out += std::to_string(fires_.load(std::memory_order_relaxed));
-  out += ",\"spec\":\"";
-  // ToString has no quotes or backslashes, but stay safe if that changes.
-  for (char c : spec_.ToString()) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += "\"}";
+  std::string out;
+  JsonWriter(&out).BeginObject()
+      .Key("kind").String(FaultKindName(spec_.kind))
+      .Key("site").String(FaultSiteName(spec_.site))
+      .Key("armed").Bool(armed_)
+      .Key("frozen").Bool(frozen_.load(std::memory_order_relaxed))
+      .Key("fires").Uint(fires_.load(std::memory_order_relaxed))
+      .Key("spec").String(spec_.ToString())
+      .EndObject();
   return out;
 }
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "db/database.h"
 #include "test_util.h"
@@ -32,9 +33,8 @@ using ariesim::testing::TempDir;
 
 TEST(BlackBoxJson, EscapeRoundTripsThroughParser) {
   std::string body = "quote\" backslash\\ newline\n tab\t ctrl\x01 done";
-  std::string json = "{\"reason\":\"";
-  AppendJsonEscaped(body, &json);
-  json += "\"}";
+  std::string json;
+  JsonWriter(&json).BeginObject().Key("reason").String(body).EndObject();
 
   std::map<std::string, std::string> fields;
   std::string err;

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
+#include "common/json.h"
 #include "common/trace.h"
 #include "db/database.h"
 #include "test_util.h"
@@ -84,6 +86,42 @@ TEST(DbStats, StatsJsonShape) {
     EXPECT_NE(j.find(key), std::string::npos) << key << " missing: " << j;
   }
   EXPECT_NE(j.find("\"health\":\"healthy\""), std::string::npos) << j;
+}
+
+// The health reason is free-form engine prose: control characters in it
+// must come out escaped, or the whole Stats() document stops parsing.
+TEST(DbStats, StatsJsonParsesWithControlCharsInReason) {
+  TempDir dir("stats_escape");
+  auto db = std::move(Database::Open(dir.path(), DefaultOptions()).value());
+  const std::string reason = "log device failed:\n\tEIO";
+  db->ctx()->health->Trip(EngineHealth::kReadOnly, reason);
+  std::map<std::string, std::string> fields;
+  std::string err;
+  std::string j = db->Stats().ToJson();
+  ASSERT_TRUE(ParseJson(j, &fields, &err)) << err << "\n" << j;
+  EXPECT_EQ(fields["health"], "read-only");
+  EXPECT_EQ(fields["health_reason"], reason);
+}
+
+TEST(DbStats, DefaultStatsJsonParses) {
+  std::string err;
+  std::string j = DatabaseStats{}.ToJson();
+  EXPECT_TRUE(ParseJson(j, nullptr, &err)) << err << "\n" << j;
+}
+
+// Stats() renders its metrics sections from the one snapshot it carries,
+// byte-for-byte as Metrics::ToJson / CommitBreakdownJson would.
+TEST(DbStats, MetricsSectionsRenderTheCarriedSnapshot) {
+  Metrics m;
+  m.pages_read.store(12);
+  m.commit_latency.Record(40'000);
+  m.commit_seg_fsync.Record(30'000);
+  DatabaseStats st;
+  st.metrics = m.Snapshot();
+  const std::string prefix = "{\"metrics\":" + m.ToJson() +
+                             ",\"commit_breakdown\":" +
+                             m.CommitBreakdownJson() + ",\"health\":";
+  EXPECT_EQ(st.ToJson().compare(0, prefix.size(), prefix), 0) << st.ToJson();
 }
 
 #if ARIESIM_TRACE_COMPILED

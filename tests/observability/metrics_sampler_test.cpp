@@ -55,8 +55,6 @@ TEST(MetricsSampler, ManualModeSamplesAndDeltas) {
   m.pages_read.fetch_add(3);
   MetricsSample s0 = sampler.SampleOnce();
   EXPECT_EQ(s0.seq, 0u);
-  ASSERT_EQ(s0.counters.size(), Metrics::kCounterCount);
-  ASSERT_EQ(s0.hists.size(), Metrics::kHistogramCount);
 
   m.pages_read.fetch_add(7);
   m.commit_latency.Record(1'000'000);

@@ -15,7 +15,7 @@
 //   scan <table> <index> <start> <stop>
 //   delete <table> <index> <key>
 //   begin | commit | rollback | savepoint | rollback_to
-//   checkpoint | crash | validate <index> | stats | tables | help | quit
+//   checkpoint | crash | validate <index> | tables | help | quit
 //   .stats                       structured engine snapshot (JSON)
 //   .locks [dot|json]            lock-table snapshot + deadlock postmortems
 //   .trace on|off|dump [path]    event tracer control (see docs/OBSERVABILITY.md)
@@ -31,7 +31,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/metrics_sampler.h"
 #include "db/database.h"
 
 using namespace ariesim;
@@ -96,7 +95,7 @@ void Shell::Execute(const std::vector<std::string>& tok) {
         "scan <table> <index> <start> <stop>\n"
         "delete <table> <index> <key>\n"
         "begin | commit | rollback | savepoint | rollback_to\n"
-        "checkpoint | crash | validate <index> | stats | tables | quit\n"
+        "checkpoint | crash | validate <index> | tables | quit\n"
         ".stats                      engine snapshot as JSON\n"
         ".locks                      lock-table snapshot + postmortems\n"
         ".locks dot                  waits-for graph as Graphviz DOT\n"
@@ -270,10 +269,6 @@ void Shell::Execute(const std::vector<std::string>& tok) {
     std::printf("%s (%zu keys)\n", s.ToString().c_str(), keys);
     return;
   }
-  if (cmd == "stats") {
-    std::printf("%s\n", db->metrics().ToString().c_str());
-    return;
-  }
   if (cmd == ".stats") {
     std::printf("%s\n", db->Stats().ToJson().c_str());
     return;
@@ -360,22 +355,20 @@ void Shell::Execute(const std::vector<std::string>& tok) {
     return;
   }
   if (cmd == ".watch") {
-    // Live view on top of the sampler (manual mode: interval 0 spawns no
-    // thread; this loop drives SampleOnce itself). Each redraw shows the
-    // busiest counters by delta with their per-second rates, plus the
+    // Live view over registry snapshots. Each redraw shows the busiest
+    // counters by delta with their per-second rates, plus the
     // commit-breakdown share of each segment over the window.
     uint32_t interval_ms = 1000;
     int redraws = 10;
     if (tok.size() >= 2) interval_ms = static_cast<uint32_t>(std::stoul(tok[1]));
     if (tok.size() >= 3) redraws = std::stoi(tok[2]);
     if (interval_ms == 0) interval_ms = 1000;
-    MetricsSampler watch(&db->metrics(), 0, "");
-    MetricsSample prev = watch.SampleOnce();
+    MetricsSnapshot prev = db->metrics().Snapshot();
     const char* const* cnames = Metrics::CounterNames();
     const char* const* hnames = Metrics::HistogramNames();
     for (int i = 0; i < redraws; i++) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-      MetricsSample cur = watch.SampleOnce();
+      MetricsSnapshot cur = db->metrics().Snapshot();
       double dt_s = static_cast<double>(cur.t_ns - prev.t_ns) / 1e9;
       if (dt_s <= 0) dt_s = 1;
       std::vector<std::pair<uint64_t, size_t>> deltas;

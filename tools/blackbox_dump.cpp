@@ -23,6 +23,7 @@
 #include <string>
 
 #include "common/blackbox.h"
+#include "common/json.h"
 #include "db/database.h"
 
 using namespace ariesim;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check_openmetrics.sh — lint Metrics::ToOpenMetrics() output (PR 9).
 #
-# Runs metrics_dump --selftest (or reads a file passed as $1) and checks the
-# exposition's structural invariants:
+# Feeds ariesh a short scripted workload ending in `.metrics` (or reads a
+# file passed as $1) and checks the exposition's structural invariants:
 #   * ends with a single terminal "# EOF" line
 #   * every sample line belongs to a family announced by a "# TYPE" line,
 #     and every family has a "# HELP" line
@@ -13,9 +13,9 @@
 #     value equals _count, plus _sum and _count
 #
 # Usage:
-#   tools/check_openmetrics.sh                  # builds input via metrics_dump
+#   tools/check_openmetrics.sh                  # builds input via ariesh
 #   tools/check_openmetrics.sh exposition.txt   # lint an existing dump
-#   METRICS_DUMP=path tools/check_openmetrics.sh  # explicit binary location
+#   ARIESH=path tools/check_openmetrics.sh      # explicit binary location
 set -u
 
 cd "$(dirname "$0")/.."
@@ -24,17 +24,32 @@ INPUT=""
 if [ $# -ge 1 ] && [ -f "$1" ]; then
   INPUT="$1"
 else
-  DUMP_BIN="${METRICS_DUMP:-build/examples/metrics_dump}"
-  if [ ! -x "$DUMP_BIN" ]; then
-    echo "check_openmetrics: $DUMP_BIN not built (cmake --build build)" >&2
+  SHELL_BIN="${ARIESH:-build/examples/ariesh}"
+  if [ ! -x "$SHELL_BIN" ]; then
+    echo "check_openmetrics: $SHELL_BIN not built (cmake --build build)" >&2
     exit 1
   fi
   INPUT=$(mktemp /tmp/openmetrics.XXXXXX)
-  trap 'rm -f "$INPUT"' EXIT
-  if ! "$DUMP_BIN" --selftest > "$INPUT"; then
-    echo "check_openmetrics: metrics_dump --selftest failed" >&2
+  DB_DIR=$(mktemp -d /tmp/openmetrics_db.XXXXXX)
+  trap 'rm -rf "$INPUT" "$INPUT.raw" "$DB_DIR"' EXIT
+  # A few committed transactions through a table + index so the commit
+  # breakdown, WAL, lock and latch families all have observations. The
+  # shell prints its prompt before each command; strip the prompts and keep
+  # the exposition, "# TYPE" through "# EOF".
+  SCRIPT="create table t 2
+create index t_k on t 0 unique"
+  for i in $(seq 1 20); do SCRIPT="$SCRIPT
+insert t k$i v"; done
+  SCRIPT="$SCRIPT
+get t t_k k7
+.metrics
+quit"
+  if ! printf '%s\n' "$SCRIPT" | "$SHELL_BIN" "$DB_DIR" > "$INPUT.raw"; then
+    echo "check_openmetrics: ariesh session failed" >&2
     exit 1
   fi
+  sed -e 's/^\(\(aries\|txn\)> \)*//' "$INPUT.raw" |
+    sed -n '/^# TYPE /,/^# EOF$/p' > "$INPUT"
 fi
 
 awk '
