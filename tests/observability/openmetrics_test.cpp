@@ -3,8 +3,8 @@
 // use counter/gauge/histogram types correctly, emit monotonic cumulative
 // buckets with a +Inf == _count cap, and terminate with "# EOF". The
 // format-level lint also runs out-of-process (tools/check_openmetrics.sh over
-// metrics_dump --selftest); this suite checks the same invariants in-process
-// where it can tie them back to the registry's ground truth.
+// an ariesh session's .metrics output); this suite checks the same invariants
+// in-process where it can tie them back to the registry's ground truth.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
