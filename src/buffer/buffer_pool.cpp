@@ -109,20 +109,58 @@ BufferPool::BufferPool(DiskManager* disk, LogManager* log, size_t frames,
   }
 }
 
+Frame* BufferPool::PinLocked(Shard& sh, PageId id) {
+  auto it = sh.table.find(id);
+  if (it == sh.table.end()) return nullptr;
+  it->second->pin_count.fetch_add(1, std::memory_order_relaxed);
+  return it->second;
+}
+
+Frame* BufferPool::ClaimVictimLocked() {
+  // Two passes clear every reference bit; a third ignores them, so hits
+  // racing the sweep cannot starve a miss while an unpinned frame exists.
+  const size_t n = frames_.size();
+  for (size_t step = 0; step < 3 * n; ++step) {
+    Frame* f = frames_[clock_hand_].get();
+    clock_hand_ = (clock_hand_ + 1) % n;
+    if (f->pin_count.load(std::memory_order_relaxed) != 0) continue;
+    if (f->referenced.exchange(false, std::memory_order_relaxed) &&
+        step < 2 * n) {
+      continue;
+    }
+    // New pins happen only under the shard mutex, so a zero count read here
+    // stays zero once the frame is unmapped. The acquire pairs with Unpin's
+    // release: the last holder's writes are visible to the write-back.
+    Shard& sh = ShardFor(f->page_id);
+    std::lock_guard<std::mutex> slk(sh.mu);
+    auto it = sh.table.find(f->page_id);
+    if (it == sh.table.end() || it->second != f ||
+        f->pin_count.load(std::memory_order_acquire) != 0) {
+      continue;
+    }
+    sh.table.erase(it);
+    return f;
+  }
+  return nullptr;
+}
+
+void BufferPool::MapLocked(Frame* f) {
+  Shard& sh = ShardFor(f->page_id);
+  std::lock_guard<std::mutex> slk(sh.mu);
+  sh.table[f->page_id] = f;
+}
+
 Result<Frame*> BufferPool::FetchFrame(PageId id) {
-  std::unique_lock<std::mutex> lk(mu_);
+  Shard& sh = ShardFor(id);
+  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
   while (true) {
-    auto it = page_table_.find(id);
-    if (it != page_table_.end()) {
-      Frame* f = it->second;
-      if (++f->pin_count == 1) {
-        auto pos = lru_pos_.find(f);
-        if (pos != lru_pos_.end()) {
-          lru_.erase(pos->second);
-          lru_pos_.erase(pos);
-        }
-      }
-      return f;
+    {
+      std::lock_guard<std::mutex> slk(sh.mu);
+      if (Frame* f = PinLocked(sh, id)) return f;
+    }
+    if (!lk.owns_lock()) {  // a hit needs only the shard; a miss needs mu_
+      lk.lock();
+      continue;
     }
     // Wait while someone else is loading this page OR while an evicted
     // dirty copy of it is still being written back — re-reading the page
@@ -137,15 +175,10 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
     if (!free_frames_.empty()) {
       victim = free_frames_.back();
       free_frames_.pop_back();
-    } else if (!lru_.empty()) {
-      victim = lru_.front();
-      lru_.pop_front();
-      lru_pos_.erase(victim);
-      page_table_.erase(victim->page_id);
-    } else {
+    } else if ((victim = ClaimVictimLocked()) == nullptr) {
       return Status::Busy("buffer pool exhausted (all frames pinned)");
     }
-    victim->pin_count = 1;
+    victim->pin_count.store(1, std::memory_order_relaxed);
     io_in_progress_.insert(id);
     bool victim_dirty = victim->dirty;
     PageId victim_old_id = victim->page_id;
@@ -246,7 +279,7 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
     io_in_progress_.erase(id);
     if (victim_dirty) writing_back_.erase(victim_old_id);
     if (!s.ok()) {
-      victim->pin_count = 0;
+      victim->pin_count.store(0, std::memory_order_relaxed);
       if (!victim_persisted) {
         // The dirty victim never reached disk, so this frame still holds the
         // only current copy of the page. Put it back in the table instead of
@@ -255,9 +288,7 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
         // thread can have reloaded the page meanwhile: its id sat in
         // writing_back_ until this same critical section.
         victim->page_id = victim_old_id;
-        page_table_[victim_old_id] = victim;
-        lru_.push_back(victim);
-        lru_pos_[victim] = std::prev(lru_.end());
+        MapLocked(victim);
       } else {
         victim->page_id = kInvalidPageId;
         victim->dirty = false;
@@ -283,7 +314,7 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
                                                    std::memory_order_relaxed);
       }
     }
-    page_table_[id] = victim;
+    MapLocked(victim);
     io_cv_.notify_all();
     return victim;
   }
@@ -338,11 +369,11 @@ void OptimisticPageGuard::Release() {
 }
 
 void BufferPool::Unpin(Frame* frame) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (--frame->pin_count == 0) {
-    lru_.push_back(frame);
-    lru_pos_[frame] = std::prev(lru_.end());
+  // Test first: hot frames keep the bit set and skip the store.
+  if (!frame->referenced.load(std::memory_order_relaxed)) {
+    frame->referenced.store(true, std::memory_order_relaxed);
   }
+  frame->pin_count.fetch_sub(1, std::memory_order_release);
 }
 
 void BufferPool::NoteDirty(Frame* frame, Lsn lsn) {
@@ -355,8 +386,10 @@ void BufferPool::NoteDirty(Frame* frame, Lsn lsn) {
 
 void BufferPool::NoteDirtyById(PageId id, Lsn lsn) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = page_table_.find(id);
-  if (it == page_table_.end()) return;  // caller will dirty it on apply
+  Shard& sh = ShardFor(id);
+  std::lock_guard<std::mutex> slk(sh.mu);
+  auto it = sh.table.find(id);
+  if (it == sh.table.end()) return;  // caller will dirty it on apply
   Frame* f = it->second;
   if (!f->dirty) {
     f->dirty = true;
@@ -415,58 +448,50 @@ Status BufferPool::ParanoidCheckLoad(PageId id, Lsn loaded_lsn) {
 
 Status BufferPool::FlushPage(PageId id) {
   std::unique_lock<std::mutex> lk(mu_);
-  auto it = page_table_.find(id);
-  if (it == page_table_.end()) return Status::OK();
-  Frame* f = it->second;
-  if (!f->dirty) return Status::OK();
-  ++f->pin_count;
-  if (f->pin_count == 1) {
-    auto pos = lru_pos_.find(f);
-    if (pos != lru_pos_.end()) {
-      lru_.erase(pos->second);
-      lru_pos_.erase(pos);
-    }
+  Shard& sh = ShardFor(id);
+  Frame* f;
+  {
+    std::lock_guard<std::mutex> slk(sh.mu);
+    auto it = sh.table.find(id);
+    if (it == sh.table.end() || !it->second->dirty) return Status::OK();
+    f = it->second;
+    f->pin_count.fetch_add(1, std::memory_order_relaxed);
   }
   lk.unlock();
-  // Take the page latch shared so we do not write a torn in-flight update.
-  f->latch.LockShared();
+  // Exclusive: no torn in-flight update, and WriteFrame's checksum stamp
+  // into the frame cannot race a concurrent flush of the same page.
+  f->latch.LockExclusive();
   Status s = WriteFrame(f);
   if (s.ok()) {
     std::lock_guard<std::mutex> lk2(mu_);
     f->dirty = false;
     f->rec_lsn = kNullLsn;
   }
-  f->latch.UnlockShared();
+  f->latch.UnlockExclusive();
   Unpin(f);
   return s;
 }
 
 Status BufferPool::FlushAll() {
-  std::vector<PageId> dirty;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (auto& [id, f] : page_table_) {
-      if (f->dirty) dirty.push_back(id);
-    }
+  // Entries for pages not resident (write-back in flight, pending redo) are
+  // no-ops in FlushPage.
+  for (auto& [id, rec_lsn] : DirtyPageTable()) {
+    ARIES_RETURN_NOT_OK(FlushPage(id));
   }
-  for (PageId id : dirty) ARIES_RETURN_NOT_OK(FlushPage(id));
   return disk_->Sync();
 }
 
 Status BufferPool::DiscardPage(PageId id) {
   std::lock_guard<std::mutex> lk(mu_);
-  auto it = page_table_.find(id);
-  if (it == page_table_.end()) return Status::OK();
+  Shard& sh = ShardFor(id);
+  std::lock_guard<std::mutex> slk(sh.mu);
+  auto it = sh.table.find(id);
+  if (it == sh.table.end()) return Status::OK();
   Frame* f = it->second;
-  if (f->pin_count > 0) {
+  if (f->pin_count.load(std::memory_order_acquire) > 0) {
     return Status::Busy("cannot discard pinned page " + std::to_string(id));
   }
-  page_table_.erase(it);
-  auto pos = lru_pos_.find(f);
-  if (pos != lru_pos_.end()) {
-    lru_.erase(pos->second);
-    lru_pos_.erase(pos);
-  }
+  sh.table.erase(it);
   f->page_id = kInvalidPageId;
   f->dirty = false;
   f->rec_lsn = kNullLsn;
@@ -499,14 +524,15 @@ bool BufferPool::NextPendingRedo(PageId* id) {
 
 void BufferPool::DropAll() {
   std::lock_guard<std::mutex> lk(mu_);
-  page_table_.clear();
-  lru_.clear();
-  lru_pos_.clear();
+  for (Shard& sh : shards_) {
+    std::lock_guard<std::mutex> slk(sh.mu);
+    sh.table.clear();
+  }
   free_frames_.clear();
   pending_redo_.clear();
   for (auto& f : frames_) {
     f->page_id = kInvalidPageId;
-    f->pin_count = 0;
+    f->pin_count.store(0, std::memory_order_relaxed);
     f->dirty = false;
     f->rec_lsn = kNullLsn;
     free_frames_.push_back(f.get());
@@ -516,11 +542,14 @@ void BufferPool::DropAll() {
 std::vector<std::pair<PageId, Lsn>> BufferPool::DirtyPageTable() {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<std::pair<PageId, Lsn>> dpt;
-  for (auto& [id, f] : page_table_) {
-    if (f->dirty) dpt.emplace_back(id, f->rec_lsn);
+  for (Shard& sh : shards_) {
+    std::lock_guard<std::mutex> slk(sh.mu);
+    for (auto& [id, f] : sh.table) {
+      if (f->dirty) dpt.emplace_back(id, f->rec_lsn);
+    }
   }
   // Evicted dirty frames whose write-back is still in flight are out of
-  // page_table_ but not yet durable; count them as dirty so a concurrent
+  // the page table but not yet durable; count them as dirty so a concurrent
   // fuzzy checkpoint stays conservative. If the write-back succeeds the
   // extra entry merely costs redo a few page_lsn checks; if it fails the
   // entry is the only thing keeping the page's recLSN in the checkpoint.

@@ -8,9 +8,10 @@
 // RAII PageGuards which also hold the pin.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <condition_variable>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -31,13 +32,16 @@ namespace ariesim {
 
 struct Frame {
   std::unique_ptr<char[]> data;
-  PageId page_id = kInvalidPageId;
-  int pin_count = 0;    // protected by pool mutex
+  PageId page_id = kInvalidPageId;  // written under mu_ and the page's shard
+  /// Incremented only under the shard mutex of the page the frame is mapped
+  /// to (or under mu_ for a frame no shard maps); Unpin decrements lock-free.
+  std::atomic<int> pin_count{0};
+  std::atomic<bool> referenced{false};  ///< CLOCK reference bit
   bool dirty = false;   // protected by pool mutex
   Lsn rec_lsn = kNullLsn;  ///< LSN that first dirtied the page (for the DPT)
   /// The page latch; its version is the optimistic readers' seqlock. Guards
   /// hold a pin, so a version never aliases across pages.
-  RwLatch latch;
+  alignas(64) RwLatch latch;  // off the pin counter's cache line
 };
 
 class BufferPool;
@@ -221,6 +225,23 @@ class BufferPool {
   friend class PageGuard;
   friend class OptimisticPageGuard;
 
+  /// One slice of the page table. Lock order: mu_ -> shard, never the
+  /// reverse; a hit takes only its shard.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::unordered_map<PageId, Frame*> table;
+  };
+  static constexpr size_t kShards = 64;
+  Shard& ShardFor(PageId id) {
+    return shards_[(id * 0x9e3779b97f4a7c15ull) >> 58];
+  }
+  /// Pins and returns the frame mapped to `id`, or nullptr. Holds sh.mu.
+  static Frame* PinLocked(Shard& sh, PageId id);
+  /// CLOCK sweep for an unpinned frame; unmaps it from its shard. Holds mu_.
+  Frame* ClaimVictimLocked();
+  /// Maps `f` (already holding f->page_id) into its shard. Holds mu_.
+  void MapLocked(Frame* f);
+
   /// Returns the frame holding `id`, pinned. Caller latches afterwards.
   Result<Frame*> FetchFrame(PageId id);
   void Unpin(Frame* frame);
@@ -238,12 +259,13 @@ class BufferPool {
   size_t page_size_;
   bool verify_checksums_;
 
+  std::array<Shard, kShards> shards_;
+  /// Guards misses, frame (re)mapping, dirty/recLSN state and the sets
+  /// below; hits and unpins never take it.
   std::mutex mu_;
   std::condition_variable io_cv_;
   std::vector<std::unique_ptr<Frame>> frames_;
-  std::unordered_map<PageId, Frame*> page_table_;
-  std::list<Frame*> lru_;  // front = coldest unpinned frame
-  std::unordered_map<Frame*, std::list<Frame*>::iterator> lru_pos_;
+  size_t clock_hand_ = 0;
   std::unordered_set<PageId> io_in_progress_;
   PageContention latch_contention_;
   /// Pages whose evicted dirty frame is still being written back, keyed to
@@ -255,7 +277,7 @@ class BufferPool {
   /// skip every log record between its true recLSN and its next update.
   std::unordered_map<PageId, Lsn> writing_back_;
   /// Instant restart: pages scheduled for first-touch redo, keyed to their
-  /// analysis recLSN. Invariant: disjoint from page_table_ — the only path
+  /// analysis recLSN. Invariant: disjoint from the page table — the only path
   /// to residency (the fetch miss) erases the entry. DirtyPageTable() must
   /// report these pages so a checkpoint taken while the debt is draining
   /// keeps their recLSNs — that is what makes a crash *during* instant

@@ -14,11 +14,20 @@
 namespace ariesim {
 
 LockManager::TxnLockState& LockManager::State(TxnId txn) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) {
-    it = txns_.emplace(txn, std::make_unique<TxnLockState>()).first;
-  }
-  return *it->second;
+  // Only the owning transaction erases its state (ReleaseAll), so the
+  // reference outlives the shard lock.
+  TxnShard& ts = TxnShardOf(txn);
+  std::lock_guard<std::mutex> lk(ts.mu);
+  std::unique_ptr<TxnLockState>& st = ts.states[txn];
+  if (st == nullptr) st = std::make_unique<TxnLockState>();
+  return *st;
+}
+
+LockManager::TxnLockState* LockManager::FindState(TxnId txn) {
+  TxnShard& ts = TxnShardOf(txn);
+  std::lock_guard<std::mutex> lk(ts.mu);
+  auto it = ts.states.find(txn);
+  return it == ts.states.end() ? nullptr : it->second.get();
 }
 
 LockManager::Request* LockManager::FindRequest(Queue& q, TxnId txn) {
@@ -69,10 +78,8 @@ void LockManager::GrantWaiters(Queue& q) {
     if (r.granted && r.converting && ConversionGrantable(q, r)) {
       r.mode = r.conv_target;
       r.converting = false;
-      r.conversion_applied = true;
       r.grant_ns = now_ns();
-      auto it = txns_.find(r.txn);
-      if (it != txns_.end()) it->second->cv.notify_all();
+      r.owner->cv.notify_all();
     }
   }
   // Pass 2: new waiters, FIFO.
@@ -81,46 +88,56 @@ void LockManager::GrantWaiters(Queue& q) {
     if (!NewGrantable(q, r)) break;
     r.granted = true;
     r.grant_ns = now_ns();
-    auto it = txns_.find(r.txn);
-    if (it != txns_.end()) it->second->cv.notify_all();
+    r.owner->cv.notify_all();
   }
 }
 
-std::vector<WaitsForEdge> LockManager::BuildEdgesLocked() const {
+void LockManager::RemoveLocked(Shard& sh, const LockName& name, TxnId txn) {
+  auto qit = sh.table.find(name);
+  if (qit == sh.table.end()) return;
+  qit->second.reqs.remove_if([&](const Request& r) { return r.txn == txn; });
+  GrantWaiters(qit->second);
+  if (qit->second.reqs.empty()) sh.table.erase(qit);
+}
+
+std::vector<WaitsForEdge> LockManager::BuildEdgesAllLocked() const {
   // Waits-for edges:
   //  - a plain waiter depends on every incompatible granted holder, every
   //    converting holder, and every earlier waiter in its queue;
   //  - a converting holder depends on every *other* granted holder whose
   //    mode is incompatible with its conversion target.
   std::vector<WaitsForEdge> out;
-  for (const auto& [name, q] : table_) {
-    std::vector<const Request*> seen;
-    for (const auto& r : q.reqs) {
-      if (r.granted && r.converting) {
-        for (const auto& g : q.reqs) {
-          if (g.txn == r.txn || !g.granted) continue;
-          if (!LockCompatible(g.mode, r.conv_target)) {
-            out.push_back({r.txn, g.txn, name});
+  for (const Shard& sh : shards_) {
+    for (const auto& [name, q] : sh.table) {
+      std::vector<const Request*> seen;
+      for (const auto& r : q.reqs) {
+        if (r.granted && r.converting) {
+          for (const auto& g : q.reqs) {
+            if (g.txn == r.txn || !g.granted) continue;
+            if (!LockCompatible(g.mode, r.conv_target)) {
+              out.push_back({r.txn, g.txn, name});
+            }
           }
         }
-      }
-      if (!r.granted) {
-        for (const Request* prior : seen) {
-          if (prior->txn == r.txn) continue;
-          bool blocks = !prior->granted || prior->converting ||
-                        !LockCompatible(prior->mode, r.mode);
-          if (blocks) out.push_back({r.txn, prior->txn, name});
+        if (!r.granted) {
+          for (const Request* prior : seen) {
+            if (prior->txn == r.txn) continue;
+            bool blocks = !prior->granted || prior->converting ||
+                          !LockCompatible(prior->mode, r.mode);
+            if (blocks) out.push_back({r.txn, prior->txn, name});
+          }
         }
+        seen.push_back(&r);
       }
-      seen.push_back(&r);
     }
   }
   return out;
 }
 
-TxnId LockManager::DetectDeadlock(TxnId start, std::vector<TxnId>* cycle_out) {
+TxnId LockManager::DetectDeadlockAllLocked(TxnId start,
+                                           std::vector<TxnId>* cycle_out) {
   std::unordered_map<TxnId, std::vector<TxnId>> edges;
-  for (const WaitsForEdge& e : BuildEdgesLocked()) {
+  for (const WaitsForEdge& e : BuildEdgesAllLocked()) {
     edges[e.waiter].push_back(e.holder);
   }
   // Iterative DFS from `start`, looking for a cycle back to `start`.
@@ -153,101 +170,104 @@ TxnId LockManager::DetectDeadlock(TxnId start, std::vector<TxnId>* cycle_out) {
   return kInvalidTxnId;
 }
 
-void LockManager::RecordPostmortemLocked(TxnId victim,
-                                         const std::vector<TxnId>& cycle) {
+void LockManager::RecordPostmortemAllLocked(TxnId victim,
+                                            const std::vector<TxnId>& cycle) {
   const uint64_t now = MonotonicNowNs();
   DeadlockPostmortem pm;
-  pm.seq = ++postmortem_seq_;
   pm.at_ns = now;
   pm.wall_unix_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
   pm.victim = victim;
+  // The request each cycle member waits with (a waiter or a converter).
+  auto waiting = [&](TxnId t) -> std::pair<const LockName*, const Request*> {
+    for (const Shard& sh : shards_) {
+      for (const auto& [name, q] : sh.table) {
+        for (const auto& r : q.reqs) {
+          if (r.txn == t && (!r.granted || r.converting)) return {&name, &r};
+        }
+      }
+    }
+    return {nullptr, nullptr};
+  };
   for (TxnId t : cycle) {
     DeadlockCycleNode node;
     node.txn = t;
-    bool found = false;
-    for (const auto& [name, q] : table_) {
-      for (const auto& r : q.reqs) {
-        if (r.txn != t) continue;
-        if (!r.granted) {
-          node.name = name;
-          node.requested = r.mode;
-          node.wait_us = (now - r.wait_start_ns) / 1000;
-          found = true;
-        } else if (r.converting) {
-          node.name = name;
-          node.requested = r.conv_target;
-          node.had_grant = true;
-          node.granted_mode = r.mode;
-          node.wait_us = (now - r.wait_start_ns) / 1000;
-          found = true;
-        }
-        if (found) break;
-      }
-      if (found) break;
+    if (auto [name, r] = waiting(t); r != nullptr) {
+      node.name = *name;
+      node.requested = r->granted ? r->conv_target : r->mode;
+      node.had_grant = r->granted;
+      if (r->granted) node.granted_mode = r->mode;
+      node.wait_us = (now - r->wait_start_ns) / 1000;
     }
     if (t == victim) pm.victim_wait_us = node.wait_us;
     pm.cycle.push_back(node);
   }
   const size_t len = cycle.size();
-  cycle_len_counts_[len > kMaxTrackedCycleLen ? kMaxTrackedCycleLen : len]++;
   if (metrics_ != nullptr) {
     metrics_->deadlock_cycle_txns.fetch_add(len, std::memory_order_relaxed);
     metrics_->deadlock_victim_wait.Record(pm.victim_wait_us * 1000);
   }
   ARIES_TRACE_INSTANT("lock.deadlock", TraceCat::kLock, victim);
+  std::lock_guard<std::mutex> lk(forensics_mu_);
+  pm.seq = ++postmortem_seq_;
+  cycle_len_counts_[len > kMaxTrackedCycleLen ? kMaxTrackedCycleLen : len]++;
   if (postmortem_cap_ == 0) return;
   postmortems_.push_back(std::move(pm));
   while (postmortems_.size() > postmortem_cap_) postmortems_.pop_front();
 }
 
-std::string LockManager::VictimSummaryLocked(TxnId txn) const {
+std::string LockManager::VictimSummary(TxnId txn) {
+  std::lock_guard<std::mutex> lk(forensics_mu_);
   for (auto it = postmortems_.rbegin(); it != postmortems_.rend(); ++it) {
     if (it->victim == txn) return it->Summary();
   }
   return {};
 }
 
-void LockManager::MaybeFireWatchdog(std::unique_lock<std::mutex>& lk,
-                                    uint64_t wait_start_ns) {
-  if (watchdog_threshold_ms_ == 0 || watchdog_fired_) return;
-  const uint64_t now = MonotonicNowNs();
-  if (now - wait_start_ns <
-      static_cast<uint64_t>(watchdog_threshold_ms_) * 1000000ull) {
-    return;
+void LockManager::MaybeFireWatchdog(uint64_t wait_start_ns) {
+  std::function<void(const std::string&)> sink;
+  uint32_t threshold_ms;
+  {
+    std::lock_guard<std::mutex> lk(forensics_mu_);
+    threshold_ms = watchdog_threshold_ms_;
+    if (threshold_ms == 0 || watchdog_fired_ ||
+        MonotonicNowNs() - wait_start_ns <
+            static_cast<uint64_t>(threshold_ms) * 1000000ull) {
+      return;
+    }
+    watchdog_fired_ = true;
+    sink = watchdog_sink_;
   }
-  watchdog_fired_ = true;
   if (metrics_ != nullptr) {
     metrics_->lock_watchdog_dumps.fetch_add(1, std::memory_order_relaxed);
   }
-  LockTableSnapshot snap = SnapshotLocked(now);
+  LockTableSnapshot snap = Snapshot();
   std::string dump = "[lock-watchdog] a lock wait exceeded " +
-                     std::to_string(watchdog_threshold_ms_) + "ms\n" +
+                     std::to_string(threshold_ms) + "ms\n" +
                      snap.ToString() + snap.ToDot();
-  auto sink = watchdog_sink_;
-  // The sink runs without mu_ so it may itself call Snapshot() or log
-  // slowly. The waiting request outlives the unlock: only its own thread
-  // (sitting here) can remove it.
-  lk.unlock();
+  // No lock held: the sink may itself call Snapshot() or log slowly.
   if (sink) {
     sink(dump);
   } else {
     std::fwrite(dump.data(), 1, dump.size(), stderr);
   }
-  lk.lock();
 }
 
-void LockManager::MaybeRearmWatchdogLocked() {
-  if (watchdog_threshold_ms_ == 0 || !watchdog_fired_) return;
+void LockManager::MaybeRearmWatchdog() {
+  if (!watchdog_fired_.load()) return;
+  AllShards all(this);
+  std::lock_guard<std::mutex> lk(forensics_mu_);
   const uint64_t now = MonotonicNowNs();
   const uint64_t thr =
       static_cast<uint64_t>(watchdog_threshold_ms_) * 1000000ull;
-  for (const auto& [name, q] : table_) {
-    for (const auto& r : q.reqs) {
-      if ((!r.granted || r.converting) && now - r.wait_start_ns >= thr) {
-        return;  // the episode is still live
+  for (const Shard& sh : shards_) {
+    for (const auto& [name, q] : sh.table) {
+      for (const auto& r : q.reqs) {
+        if ((!r.granted || r.converting) && now - r.wait_start_ns >= thr) {
+          return;  // the episode is still live
+        }
       }
     }
   }
@@ -256,10 +276,55 @@ void LockManager::MaybeRearmWatchdogLocked() {
 
 void LockManager::ConfigureWatchdog(
     uint32_t threshold_ms, std::function<void(const std::string&)> sink) {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(forensics_mu_);
   watchdog_threshold_ms_ = threshold_ms;
   watchdog_sink_ = std::move(sink);
   watchdog_fired_ = false;
+}
+
+bool LockManager::WaitForGrant(std::unique_lock<std::mutex>& lk,
+                               TxnLockState& st, TxnId txn,
+                               const LockName& name, Request& mine,
+                               bool converting) {
+  if (metrics_ != nullptr) {
+    metrics_->lock_waits.fetch_add(1, std::memory_order_relaxed);
+  }
+  const uint64_t wait_start_ns = mine.wait_start_ns = MonotonicNowNs();
+  // Wait time (granted or deadlock-aborted) lands in the histogram, the
+  // bound transaction's commit-breakdown lock_wait segment, a trace span
+  // and the contention sketch.
+  ScopedLatency wait_timer(
+      metrics_ != nullptr ? &metrics_->lock_wait_latency : nullptr);
+  ScopedCommitSegment wait_seg(CommitSegment::lock_wait);
+  ARIES_TRACE_SPAN(wait_span, "lock.wait", TraceCat::kLock, txn);
+  auto granted = [&] { return converting ? !mine.converting : mine.granted; };
+  bool victim = false;
+  do {
+    lk.unlock();
+    {
+      AllShards all(this);
+      std::vector<TxnId> cycle;
+      TxnId v = DetectDeadlockAllLocked(txn, &cycle);
+      TxnLockState* vs = v == kInvalidTxnId ? nullptr : FindState(v);
+      if (vs != nullptr) {
+        // A cycle is recorded once, however many of its members detect it
+        // before the victim withdraws.
+        if (!vs->deadlock_victim.exchange(true)) {
+          RecordPostmortemAllLocked(v, cycle);
+        }
+        vs->cv.notify_all();
+      }
+    }
+    MaybeFireWatchdog(wait_start_ns);
+    lk.lock();
+    if (granted()) break;
+    if ((victim = st.deadlock_victim.exchange(false))) break;
+    st.cv.wait_for(lk, std::chrono::milliseconds(5));
+  } while (!granted());
+  // Granted: any cycle that named this transaction has dissolved.
+  st.deadlock_victim.store(false);
+  contention_.RecordWait(name, MonotonicNowNs() - wait_start_ns);
+  return !victim;
 }
 
 Status LockManager::Lock(TxnId txn, const LockName& name, LockMode mode,
@@ -267,180 +332,85 @@ Status LockManager::Lock(TxnId txn, const LockName& name, LockMode mode,
   if (metrics_ != nullptr) {
     metrics_->lock_requests.fetch_add(1, std::memory_order_relaxed);
   }
-  bool already_held = false;
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    TxnLockState& st = State(txn);
-    auto held_it = st.held.find(name);
-    if (held_it != st.held.end() && LockCovers(held_it->second, mode)) {
-      already_held = true;
-    } else if (held_it != st.held.end()) {
-      // ---- conversion (upgrade) -------------------------------------
-      Queue& q = table_[name];
-      Request* mine = FindRequest(q, txn);
+  TxnLockState& st = State(txn);
+  auto held_it = st.held.find(name);
+  const bool already_held =
+      held_it != st.held.end() && LockCovers(held_it->second, mode);
+  bool waited = false;
+  if (!already_held) {
+    // A name this transaction holds in a weaker mode is a conversion
+    // (upgrade); anything else is a fresh request.
+    const bool converting = held_it != st.held.end();
+    Shard& sh = ShardOf(name);
+    std::unique_lock<std::mutex> lk(sh.mu);
+    Queue& q = sh.table[name];
+    Request* mine;
+    if (converting) {
+      mine = FindRequest(q, txn);
       if (mine == nullptr || !mine->granted) {
         return Status::Corruption("lock table out of sync with held map");
       }
-      LockMode target = LockSupremum(held_it->second, mode);
       mine->converting = true;
-      mine->conv_target = target;
+      mine->conv_target = LockSupremum(held_it->second, mode);
       mine->prior_mode = mine->mode;
-      mine->conversion_applied = false;
-      if (ConversionGrantable(q, *mine)) {
-        mine->mode = target;
-        mine->converting = false;
-        mine->conversion_applied = true;
-        mine->grant_ns = MonotonicNowNs();
-      } else if (conditional) {
-        mine->converting = false;
-        if (metrics_ != nullptr) {
-          metrics_->lock_conditional_denied.fetch_add(1,
-                                                      std::memory_order_relaxed);
-        }
-        return Status::Busy("lock conversion not grantable: " + name.ToString());
-      } else {
-        if (metrics_ != nullptr) {
-          metrics_->lock_waits.fetch_add(1, std::memory_order_relaxed);
-        }
-        mine->wait_start_ns = MonotonicNowNs();
-        // Wait time (granted or deadlock-aborted) lands in the histogram,
-        // the bound transaction's commit-breakdown lock_wait segment, and a
-        // trace span when the RAII objects leave this block.
-        ScopedLatency wait_timer(
-            metrics_ != nullptr ? &metrics_->lock_wait_latency : nullptr);
-        ScopedCommitSegment wait_seg(CommitSegment::lock_wait);
-        ARIES_TRACE_SPAN(wait_span, "lock.wait", TraceCat::kLock, txn);
-        while (mine->converting) {
-          std::vector<TxnId> cycle;
-          TxnId victim = DetectDeadlock(txn, &cycle);
-          if (victim != kInvalidTxnId) {
-            if (victim == txn) {
-              if (!st.deadlock_victim) {
-                RecordPostmortemLocked(victim, cycle);
-                st.deadlock_victim = true;
-              }
-            } else {
-              auto vit = txns_.find(victim);
-              if (vit != txns_.end()) {
-                if (!vit->second->deadlock_victim) {
-                  RecordPostmortemLocked(victim, cycle);
-                  vit->second->deadlock_victim = true;
-                }
-                vit->second->cv.notify_all();
-              }
-            }
-          }
-          if (st.deadlock_victim) {
-            st.deadlock_victim = false;
-            mine->converting = false;  // keep the original granted mode
-            contention_.RecordWait(name,
-                                   MonotonicNowNs() - mine->wait_start_ns);
-            GrantWaiters(q);
-            if (metrics_ != nullptr) {
-              metrics_->deadlocks.fetch_add(1, std::memory_order_relaxed);
-            }
-            std::string summary = VictimSummaryLocked(txn);
-            MaybeRearmWatchdogLocked();
-            return Status::Deadlock(
-                "deadlock upgrading " + name.ToString() +
-                (summary.empty() ? std::string() : "; " + summary));
-          }
-          MaybeFireWatchdog(lk, mine->wait_start_ns);
-          st.cv.wait_for(lk, std::chrono::milliseconds(5));
-        }
-        if (!mine->conversion_applied) {
-          return Status::Corruption("conversion wait ended unapplied");
-        }
-        contention_.RecordWait(name, MonotonicNowNs() - mine->wait_start_ns);
-        MaybeRearmWatchdogLocked();
-      }
-      // Conversion applied. Instant duration reverts to the prior mode.
-      if (duration == LockDuration::kInstant) {
-        mine->mode = mine->prior_mode;
-        GrantWaiters(q);
-      } else {
-        st.held[name] = mine->mode;
-      }
     } else {
-      // ---- fresh request ---------------------------------------------
-      Queue& q = table_[name];
-      Request r;
-      r.txn = txn;
-      r.mode = mode;
-      q.reqs.push_back(r);
-      Request* mine = &q.reqs.back();
-      if (NewGrantable(q, *mine)) {
-        mine->granted = true;
-        mine->grant_ns = MonotonicNowNs();
-      } else if (conditional) {
-        q.reqs.pop_back();
-        if (q.reqs.empty()) table_.erase(name);
-        if (metrics_ != nullptr) {
-          metrics_->lock_conditional_denied.fetch_add(1,
-                                                      std::memory_order_relaxed);
-        }
-        return Status::Busy("lock not grantable: " + name.ToString());
+      q.reqs.push_back(Request{txn, &st, mode});
+      mine = &q.reqs.back();
+    }
+    // Takes back the fresh request, or the conversion (the original grant
+    // stays), and lets any waiter it blocked in.
+    auto withdraw = [&] {
+      if (converting) {
+        mine->converting = false;
+        mine->mode = mine->prior_mode;
       } else {
-        if (metrics_ != nullptr) {
-          metrics_->lock_waits.fetch_add(1, std::memory_order_relaxed);
-        }
-        mine->wait_start_ns = MonotonicNowNs();
-        ScopedLatency wait_timer(
-            metrics_ != nullptr ? &metrics_->lock_wait_latency : nullptr);
-        ScopedCommitSegment wait_seg(CommitSegment::lock_wait);
-        ARIES_TRACE_SPAN(wait_span, "lock.wait", TraceCat::kLock, txn);
-        while (!mine->granted) {
-          std::vector<TxnId> cycle;
-          TxnId victim = DetectDeadlock(txn, &cycle);
-          if (victim != kInvalidTxnId) {
-            if (victim == txn) {
-              if (!st.deadlock_victim) {
-                RecordPostmortemLocked(victim, cycle);
-                st.deadlock_victim = true;
-              }
-            } else {
-              auto vit = txns_.find(victim);
-              if (vit != txns_.end()) {
-                if (!vit->second->deadlock_victim) {
-                  RecordPostmortemLocked(victim, cycle);
-                  vit->second->deadlock_victim = true;
-                }
-                vit->second->cv.notify_all();
-              }
-            }
-          }
-          if (st.deadlock_victim) {
-            st.deadlock_victim = false;
-            contention_.RecordWait(name,
-                                   MonotonicNowNs() - mine->wait_start_ns);
-            q.reqs.remove_if([&](const Request& x) { return &x == mine; });
-            GrantWaiters(q);
-            if (q.reqs.empty()) table_.erase(name);
-            if (metrics_ != nullptr) {
-              metrics_->deadlocks.fetch_add(1, std::memory_order_relaxed);
-            }
-            std::string summary = VictimSummaryLocked(txn);
-            MaybeRearmWatchdogLocked();
-            return Status::Deadlock(
-                "deadlock on " + name.ToString() +
-                (summary.empty() ? std::string() : "; " + summary));
-          }
-          MaybeFireWatchdog(lk, mine->wait_start_ns);
-          st.cv.wait_for(lk, std::chrono::milliseconds(5));
-        }
-        contention_.RecordWait(name, MonotonicNowNs() - mine->wait_start_ns);
-        MaybeRearmWatchdogLocked();
-      }
-      // Granted.
-      if (duration == LockDuration::kInstant) {
         q.reqs.remove_if([&](const Request& x) { return &x == mine; });
-        GrantWaiters(q);
-        if (q.reqs.empty()) table_.erase(name);
+      }
+      GrantWaiters(q);
+      if (q.reqs.empty()) sh.table.erase(name);
+    };
+    if (converting ? ConversionGrantable(q, *mine) : NewGrantable(q, *mine)) {
+      if (converting) {
+        mine->mode = mine->conv_target;
+        mine->converting = false;
       } else {
-        st.held[name] = mine->mode;
+        mine->granted = true;
+      }
+      mine->grant_ns = MonotonicNowNs();
+    } else if (conditional) {
+      withdraw();
+      if (metrics_ != nullptr) {
+        metrics_->lock_conditional_denied.fetch_add(1,
+                                                    std::memory_order_relaxed);
+      }
+      return Status::Busy((converting ? "lock conversion not grantable: "
+                                      : "lock not grantable: ") +
+                          name.ToString());
+    } else {
+      waited = true;
+      if (!WaitForGrant(lk, st, txn, name, *mine, converting)) {
+        withdraw();
+        lk.unlock();
+        if (metrics_ != nullptr) {
+          metrics_->deadlocks.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::string summary = VictimSummary(txn);
+        MaybeRearmWatchdog();
+        return Status::Deadlock(
+            (converting ? "deadlock upgrading " : "deadlock on ") +
+            name.ToString() +
+            (summary.empty() ? std::string() : "; " + summary));
       }
     }
+    // Granted; instant duration releases at once.
+    if (duration == LockDuration::kInstant) {
+      withdraw();
+    } else {
+      std::lock_guard<std::mutex> hl(st.mu);
+      st.held[name] = mine->mode;
+    }
   }
+  if (waited) MaybeRearmWatchdog();
   if (metrics_ != nullptr) {
     metrics_->locks_granted.fetch_add(1, std::memory_order_relaxed);
   }
@@ -451,63 +421,63 @@ Status LockManager::Lock(TxnId txn, const LockName& name, LockMode mode,
 }
 
 void LockManager::Unlock(TxnId txn, const LockName& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto tit = txns_.find(txn);
-  if (tit == txns_.end()) return;
-  tit->second->held.erase(name);
-  auto qit = table_.find(name);
-  if (qit == table_.end()) return;
-  qit->second.reqs.remove_if([&](const Request& r) { return r.txn == txn; });
-  GrantWaiters(qit->second);
-  if (qit->second.reqs.empty()) table_.erase(qit);
+  TxnLockState* st = FindState(txn);
+  if (st == nullptr) return;
+  Shard& sh = ShardOf(name);
+  std::lock_guard<std::mutex> lk(sh.mu);
+  RemoveLocked(sh, name, txn);
+  std::lock_guard<std::mutex> hl(st->mu);
+  st->held.erase(name);
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto tit = txns_.find(txn);
-  if (tit == txns_.end()) return;
-  for (auto& [name, mode] : tit->second->held) {
-    auto qit = table_.find(name);
-    if (qit == table_.end()) continue;
-    qit->second.reqs.remove_if([&](const Request& r) { return r.txn == txn; });
-    GrantWaiters(qit->second);
-    if (qit->second.reqs.empty()) table_.erase(qit);
+  TxnLockState* st = FindState(txn);
+  if (st == nullptr) return;
+  for (auto& [name, mode] : st->held) {
+    Shard& sh = ShardOf(name);
+    std::lock_guard<std::mutex> lk(sh.mu);
+    RemoveLocked(sh, name, txn);
   }
-  txns_.erase(tit);
+  TxnShard& ts = TxnShardOf(txn);
+  std::lock_guard<std::mutex> lk(ts.mu);
+  ts.states.erase(txn);
 }
 
 bool LockManager::Holds(TxnId txn, const LockName& name, LockMode mode) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto tit = txns_.find(txn);
-  if (tit == txns_.end()) return false;
+  TxnShard& ts = TxnShardOf(txn);
+  std::lock_guard<std::mutex> lk(ts.mu);
+  auto tit = ts.states.find(txn);
+  if (tit == ts.states.end()) return false;
+  std::lock_guard<std::mutex> hl(tit->second->mu);
   auto hit = tit->second->held.find(name);
   return hit != tit->second->held.end() && LockCovers(hit->second, mode);
 }
 
-LockTableSnapshot LockManager::SnapshotLocked(uint64_t now_ns) const {
+LockTableSnapshot LockManager::SnapshotAllLocked(uint64_t now_ns) {
   LockTableSnapshot snap;
   snap.captured_at_ns = now_ns;
-  snap.queues.reserve(table_.size());
-  for (const auto& [name, q] : table_) {
-    LockQueueInfo qi;
-    qi.name = name;
-    qi.requests.reserve(q.reqs.size());
-    for (const auto& r : q.reqs) {
-      LockRequestInfo ri;
-      ri.txn = r.txn;
-      ri.mode = r.mode;
-      ri.granted = r.granted;
-      ri.converting = r.granted && r.converting;
-      ri.conv_target = r.conv_target;
-      if (!r.granted || r.converting) {
-        ri.wait_us = (now_ns - r.wait_start_ns) / 1000;
+  for (const Shard& sh : shards_) {
+    for (const auto& [name, q] : sh.table) {
+      LockQueueInfo qi;
+      qi.name = name;
+      qi.requests.reserve(q.reqs.size());
+      for (const auto& r : q.reqs) {
+        LockRequestInfo ri;
+        ri.txn = r.txn;
+        ri.mode = r.mode;
+        ri.granted = r.granted;
+        ri.converting = r.granted && r.converting;
+        ri.conv_target = r.conv_target;
+        if (!r.granted || r.converting) {
+          ri.wait_us = (now_ns - r.wait_start_ns) / 1000;
+        }
+        if (r.granted) {
+          ri.grant_us = r.grant_ns == 0 ? 0 : (now_ns - r.grant_ns) / 1000;
+        }
+        qi.requests.push_back(ri);
       }
-      if (r.granted) {
-        ri.grant_us = r.grant_ns == 0 ? 0 : (now_ns - r.grant_ns) / 1000;
-      }
-      qi.requests.push_back(ri);
+      snap.queues.push_back(std::move(qi));
     }
-    snap.queues.push_back(std::move(qi));
   }
   std::sort(snap.queues.begin(), snap.queues.end(),
             [](const LockQueueInfo& a, const LockQueueInfo& b) {
@@ -515,12 +485,15 @@ LockTableSnapshot LockManager::SnapshotLocked(uint64_t now_ns) const {
                               a.name.b) < std::tie(b.name.space, b.name.object,
                                                    b.name.a, b.name.b);
             });
-  snap.txns.reserve(txns_.size());
-  for (const auto& [id, st] : txns_) {
-    TxnLockInfo ti;
-    ti.txn = id;
-    ti.held = st->held.size();
-    snap.txns.push_back(ti);
+  for (TxnShard& ts : txn_shards_) {
+    std::lock_guard<std::mutex> lk(ts.mu);
+    for (const auto& [id, st] : ts.states) {
+      TxnLockInfo ti;
+      ti.txn = id;
+      std::lock_guard<std::mutex> hl(st->mu);
+      ti.held = st->held.size();
+      snap.txns.push_back(ti);
+    }
   }
   std::sort(snap.txns.begin(), snap.txns.end(),
             [](const TxnLockInfo& a, const TxnLockInfo& b) {
@@ -528,51 +501,56 @@ LockTableSnapshot LockManager::SnapshotLocked(uint64_t now_ns) const {
             });
   // Fill blocked state from the queues (one waiting or converting request
   // per txn at a time: a txn has at most one Lock() call in flight).
-  for (const auto& [name, q] : table_) {
-    for (const auto& r : q.reqs) {
-      if (r.granted && !r.converting) continue;
-      auto it = std::lower_bound(snap.txns.begin(), snap.txns.end(), r.txn,
-                                 [](const TxnLockInfo& t, TxnId id) {
-                                   return t.txn < id;
-                                 });
-      if (it == snap.txns.end() || it->txn != r.txn) continue;
-      it->blocked = true;
-      it->blocked_on = name;
-      it->blocked_mode = r.granted ? r.conv_target : r.mode;
-      it->blocked_us = (now_ns - r.wait_start_ns) / 1000;
+  for (const Shard& sh : shards_) {
+    for (const auto& [name, q] : sh.table) {
+      for (const auto& r : q.reqs) {
+        if (r.granted && !r.converting) continue;
+        auto it = std::lower_bound(snap.txns.begin(), snap.txns.end(), r.txn,
+                                   [](const TxnLockInfo& t, TxnId id) {
+                                     return t.txn < id;
+                                   });
+        if (it == snap.txns.end() || it->txn != r.txn) continue;
+        it->blocked = true;
+        it->blocked_on = name;
+        it->blocked_mode = r.granted ? r.conv_target : r.mode;
+        it->blocked_us = (now_ns - r.wait_start_ns) / 1000;
+      }
     }
   }
-  snap.edges = BuildEdgesLocked();
+  snap.edges = BuildEdgesAllLocked();
   return snap;
 }
 
 LockTableSnapshot LockManager::Snapshot() {
-  std::lock_guard<std::mutex> lk(mu_);
-  return SnapshotLocked(MonotonicNowNs());
+  AllShards all(this);
+  return SnapshotAllLocked(MonotonicNowNs());
 }
 
 std::vector<DeadlockPostmortem> LockManager::Postmortems() {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(forensics_mu_);
   return {postmortems_.begin(), postmortems_.end()};
 }
 
 void LockManager::SetPostmortemCapacity(size_t cap) {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(forensics_mu_);
   postmortem_cap_ = cap;
   while (postmortems_.size() > postmortem_cap_) postmortems_.pop_front();
 }
 
 std::vector<uint64_t> LockManager::CycleLengthCounts() {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(forensics_mu_);
   return {cycle_len_counts_, cycle_len_counts_ + kMaxTrackedCycleLen + 1};
 }
 
 std::string LockManager::DumpState() { return Snapshot().ToString(); }
 
 size_t LockManager::HeldCount(TxnId txn) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto tit = txns_.find(txn);
-  return tit == txns_.end() ? 0 : tit->second->held.size();
+  TxnShard& ts = TxnShardOf(txn);
+  std::lock_guard<std::mutex> lk(ts.mu);
+  auto tit = ts.states.find(txn);
+  if (tit == ts.states.end()) return 0;
+  std::lock_guard<std::mutex> hl(tit->second->mu);
+  return tit->second->held.size();
 }
 
 }  // namespace ariesim

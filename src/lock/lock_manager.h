@@ -14,6 +14,8 @@
 // its threshold.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -51,6 +53,17 @@ class LockManager {
   static constexpr size_t kMaxTrackedCycleLen = 16;
 
   explicit LockManager(Metrics* metrics) : metrics_(metrics) {}
+
+  /// The name table is split into this many mutex-guarded shards; Lock()
+  /// takes only its name's shard. Snapshot(), the deadlock detector and the
+  /// watchdog hold all of them at once, so the count stays well under
+  /// ThreadSanitizer's limit on mutexes one thread may hold.
+  static constexpr size_t kNameShards = 16;
+  /// Which shard `name` lives in (tests use it to spread names).
+  static size_t ShardIndex(const LockName& name) {
+    return ((LockNameHash()(name) * 0x9e3779b97f4a7c15ull) >> 32) %
+           kNameShards;
+  }
 
   /// Acquire `name` in `mode` for `duration` on behalf of `txn`.
   /// If `conditional`, returns kBusy instead of waiting.
@@ -110,15 +123,23 @@ class LockManager {
   std::string DumpState();
 
  private:
+  /// Per-transaction lock state. Only the owner writes `held`, under `mu`
+  /// for forensics readers; the owner itself reads it without `mu`.
+  struct TxnLockState {
+    std::mutex mu;
+    std::unordered_map<LockName, LockMode, LockNameHash> held;
+    std::condition_variable cv;  ///< waited on with the awaited name's shard
+    std::atomic<bool> deadlock_victim{false};
+  };
   /// One entry per transaction per lock name. A granted entry may carry a
   /// pending conversion (upgrade) to `conv_target`; conversions have
   /// priority over new waiters and keep the original grant while waiting.
   struct Request {
     TxnId txn;
+    TxnLockState* owner;
     LockMode mode;  // granted mode when granted; requested mode when waiting
     bool granted = false;
     bool converting = false;
-    bool conversion_applied = false;
     LockMode conv_target = LockMode::kIS;
     LockMode prior_mode = LockMode::kIS;
     uint64_t wait_start_ns = 0;  // set while waiting or converting
@@ -127,51 +148,78 @@ class LockManager {
   struct Queue {
     std::list<Request> reqs;  // arrival order; waiters FIFO among themselves
   };
-  struct TxnLockState {
-    std::unordered_map<LockName, LockMode, LockNameHash> held;
-    std::condition_variable cv;
-    bool deadlock_victim = false;
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::unordered_map<LockName, Queue, LockNameHash> table;
+  };
+  struct alignas(64) TxnShard {
+    std::mutex mu;
+    std::unordered_map<TxnId, std::unique_ptr<TxnLockState>> states;
+  };
+  /// Holds every name shard, taken in index order, for as long as it lives.
+  struct AllShards {
+    explicit AllShards(LockManager* lm) {
+      for (size_t i = 0; i < kNameShards; ++i) {
+        locks[i] = std::unique_lock<std::mutex>(lm->shards_[i].mu);
+      }
+    }
+    std::array<std::unique_lock<std::mutex>, kNameShards> locks;
   };
 
+  Shard& ShardOf(const LockName& name) { return shards_[ShardIndex(name)]; }
+  TxnShard& TxnShardOf(TxnId txn) { return txn_shards_[txn % kNameShards]; }
+  /// The transaction's state, created on first use.
+  TxnLockState& State(TxnId txn);
+  /// The transaction's state, or nullptr.
+  TxnLockState* FindState(TxnId txn);
   Request* FindRequest(Queue& q, TxnId txn);
   bool ConversionGrantable(const Queue& q, const Request& r) const;
   bool NewGrantable(const Queue& q, const Request& r) const;
   void GrantWaiters(Queue& q);
+  /// Blocks until `mine` is granted (`converting`: its conversion applied)
+  /// or the transaction is chosen as a deadlock victim; returns false for
+  /// the latter. Each round drops `lk` to run the detector and the
+  /// watchdog with every shard held.
+  bool WaitForGrant(std::unique_lock<std::mutex>& lk, TxnLockState& st,
+                    TxnId txn, const LockName& name, Request& mine,
+                    bool converting);
+  /// Remove `txn`'s requests on `name`; holds `sh.mu`.
+  void RemoveLocked(Shard& sh, const LockName& name, TxnId txn);
   /// The waits-for edge set, one edge per (waiter, blocking holder, name).
-  std::vector<WaitsForEdge> BuildEdgesLocked() const;
+  /// Must hold all shards (as must every *AllLocked helper below).
+  std::vector<WaitsForEdge> BuildEdgesAllLocked() const;
   /// Deadlock check; returns the chosen victim (kInvalidTxnId if none) and,
   /// when a cycle is found, the member txns in walk order via `cycle_out`.
-  /// Must be called with mu_ held.
-  TxnId DetectDeadlock(TxnId start, std::vector<TxnId>* cycle_out = nullptr);
+  TxnId DetectDeadlockAllLocked(TxnId start,
+                                std::vector<TxnId>* cycle_out = nullptr);
   /// Preserve a just-detected cycle in the postmortem ring and feed the
-  /// cycle-length / victim-wait distributions. Must hold mu_.
-  void RecordPostmortemLocked(TxnId victim, const std::vector<TxnId>& cycle);
-  /// Newest recorded cycle summary for `txn` (empty if none). Must hold mu_.
-  std::string VictimSummaryLocked(TxnId txn) const;
-  LockTableSnapshot SnapshotLocked(uint64_t now_ns) const;
-  /// Fire the watchdog if this wait crossed the threshold and the episode
-  /// has not fired yet. Briefly drops `lk` to call the sink.
-  void MaybeFireWatchdog(std::unique_lock<std::mutex>& lk,
-                         uint64_t wait_start_ns);
-  /// Re-arm the watchdog when no wait above the threshold remains.
-  void MaybeRearmWatchdogLocked();
-  TxnLockState& State(TxnId txn);
+  /// cycle-length / victim-wait distributions.
+  void RecordPostmortemAllLocked(TxnId victim, const std::vector<TxnId>& cycle);
+  /// Newest recorded cycle summary for `txn` (empty if none).
+  std::string VictimSummary(TxnId txn);
+  LockTableSnapshot SnapshotAllLocked(uint64_t now_ns);
+  /// Dump Snapshot() to the sink if this wait crossed the threshold and the
+  /// episode has not fired yet. Holds no shard.
+  void MaybeFireWatchdog(uint64_t wait_start_ns);
+  /// Re-arm the watchdog when no wait above the threshold remains. Holds no
+  /// shard.
+  void MaybeRearmWatchdog();
 
   Metrics* metrics_;
   LockObserver observer_;
-  mutable std::mutex mu_;
-  std::unordered_map<LockName, Queue, LockNameHash> table_;
-  std::unordered_map<TxnId, std::unique_ptr<TxnLockState>> txns_;
+  std::array<Shard, kNameShards> shards_;
+  std::array<TxnShard, kNameShards> txn_shards_;
+  Contention contention_;  // lock-free
 
-  // Forensics (all under mu_ except the lock-free sketch).
-  Contention contention_;
+  // Forensics, under forensics_mu_ (which ranks after every other mutex).
+  std::mutex forensics_mu_;
   std::deque<DeadlockPostmortem> postmortems_;
   size_t postmortem_cap_ = 64;
   uint64_t postmortem_seq_ = 0;
   uint64_t cycle_len_counts_[kMaxTrackedCycleLen + 1] = {};
   uint32_t watchdog_threshold_ms_ = 0;
   std::function<void(const std::string&)> watchdog_sink_;
-  bool watchdog_fired_ = false;
+  std::atomic<bool> watchdog_fired_{false};  ///< also read without the mutex
 };
 
 }  // namespace ariesim

@@ -9,24 +9,28 @@
 namespace ariesim {
 
 Transaction* TransactionManager::Begin() {
-  std::lock_guard<std::mutex> lk(mu_);
-  TxnId id = next_id_++;
-  auto txn = std::make_unique<Transaction>(id);
+  return Insert(std::make_unique<Transaction>(
+      next_id_.fetch_add(1, std::memory_order_relaxed)));
+}
+
+Transaction* TransactionManager::Insert(std::unique_ptr<Transaction> txn) {
   Transaction* raw = txn.get();
-  table_[id] = std::move(txn);
+  Shard& sh = ShardFor(raw->id());
+  std::lock_guard<std::mutex> lk(sh.mu);
+  sh.table[raw->id()] = std::move(txn);
   return raw;
 }
 
 Result<Lsn> TransactionManager::AppendTxnLog(Transaction* txn, LogRecord* rec) {
-  // mu_ makes the {log append, LastLSN/UndoNxtLSN update} pair atomic with
-  // respect to Snapshot(). Without it a fuzzy checkpoint can capture a
-  // LastLSN that lags the log: the snapshot then claims a transaction's
-  // final record is an update even though its commit record already sits
-  // before the begin-checkpoint, and restart analysis — which can only see
-  // records at or after the begin-checkpoint — would adopt the committed
-  // transaction as a loser and roll it back. Appends are already serialized
-  // by the log's own mutex, so this adds no meaningful contention.
-  std::lock_guard<std::mutex> lk(mu_);
+  // The shard mutex makes the {log append, LastLSN/UndoNxtLSN update} pair
+  // atomic with respect to Snapshot(). Without it a fuzzy checkpoint can
+  // capture a LastLSN that lags the log: the snapshot then claims a
+  // transaction's final record is an update even though its commit record
+  // already sits before the begin-checkpoint, and restart analysis — which
+  // can only see records at or after the begin-checkpoint — would adopt the
+  // committed transaction as a loser and roll it back. Appends are already
+  // serialized by the log's own mutex, so this adds no meaningful contention.
+  std::lock_guard<std::mutex> lk(ShardFor(txn->id()).mu);
   rec->txn_id = txn->id();
   rec->prev_lsn = txn->last_lsn();
   ARIES_ASSIGN_OR_RETURN(Lsn lsn, log_->Append(rec));
@@ -179,47 +183,53 @@ Status TransactionManager::RollbackToSavepoint(Transaction* txn, Lsn savepoint) 
 
 Transaction* TransactionManager::AdoptRestored(TxnId id, Lsn last_lsn,
                                                Lsn undo_next_lsn) {
-  std::lock_guard<std::mutex> lk(mu_);
   auto txn = std::make_unique<Transaction>(id);
   txn->set_last_lsn(last_lsn);
   txn->set_undo_next_lsn(undo_next_lsn);
   txn->set_state(TxnState::kRollingBack);
-  Transaction* raw = txn.get();
-  table_[id] = std::move(txn);
-  if (id >= next_id_) next_id_ = id + 1;
+  Transaction* raw = Insert(std::move(txn));
+  TxnId next = next_id_.load(std::memory_order_relaxed);
+  while (next <= id && !next_id_.compare_exchange_weak(next, id + 1)) {
+  }
   return raw;
 }
 
 void TransactionManager::Forget(TxnId id) {
-  std::lock_guard<std::mutex> lk(mu_);
+  Shard& sh = ShardFor(id);
+  std::lock_guard<std::mutex> lk(sh.mu);
   // Keep the object alive: callers may still hold the pointer. Move it to a
   // graveyard emptied lazily — here simply release ownership into a retained
   // list so pointers stay valid until shutdown.
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    finished_.push_back(std::move(it->second));
-    table_.erase(it);
+  auto it = sh.table.find(id);
+  if (it != sh.table.end()) {
+    sh.finished.push_back(std::move(it->second));
+    sh.table.erase(it);
   }
 }
 
 std::vector<TxnTableEntry> TransactionManager::Snapshot() {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::array<std::unique_lock<std::mutex>, kShards> locks;
+  for (size_t i = 0; i < kShards; ++i) {
+    locks[i] = std::unique_lock<std::mutex>(shards_[i].mu);
+  }
   std::vector<TxnTableEntry> out;
-  out.reserve(table_.size());
-  for (auto& [id, txn] : table_) {
-    // Logged nothing yet: under mu_, any first record it appends lands
-    // after the begin-checkpoint, where analysis will find it.
-    if (txn->last_lsn() == kNullLsn) continue;
-    out.push_back(TxnTableEntry{id, txn->state(), txn->last_lsn(),
-                                txn->undo_next_lsn()});
+  for (Shard& sh : shards_) {
+    for (auto& [id, txn] : sh.table) {
+      // Logged nothing yet: under its shard, any first record it appends
+      // lands after the begin-checkpoint, where analysis will find it.
+      if (txn->last_lsn() == kNullLsn) continue;
+      out.push_back(TxnTableEntry{id, txn->state(), txn->last_lsn(),
+                                  txn->undo_next_lsn()});
+    }
   }
   return out;
 }
 
 Transaction* TransactionManager::Find(TxnId id) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = table_.find(id);
-  return it == table_.end() ? nullptr : it->second.get();
+  Shard& sh = ShardFor(id);
+  std::lock_guard<std::mutex> lk(sh.mu);
+  auto it = sh.table.find(id);
+  return it == sh.table.end() ? nullptr : it->second.get();
 }
 
 }  // namespace ariesim

@@ -3,6 +3,7 @@
 // normal and restart undo share one code path), and nested top actions.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -102,10 +103,21 @@ class TransactionManager {
   /// Byte just past the highest lazy commit record (an atomic max).
   std::atomic<Lsn> lazy_commit_end_{kNullLsn};
 
-  std::mutex mu_;
-  TxnId next_id_ = 1;
-  std::unordered_map<TxnId, std::unique_ptr<Transaction>> table_;
-  std::vector<std::unique_ptr<Transaction>> finished_;  // keeps pointers valid
+  /// The transaction table, split by id. A transaction's shard also makes
+  /// its {log append, LastLSN update} pair atomic against Snapshot(), which
+  /// holds every shard.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    std::unordered_map<TxnId, std::unique_ptr<Transaction>> table;
+    std::vector<std::unique_ptr<Transaction>> finished;  // keeps pointers valid
+  };
+  static constexpr size_t kShards = 16;
+  Shard& ShardFor(TxnId id) { return shards_[id % kShards]; }
+  /// Adds `txn` to its shard; returns it.
+  Transaction* Insert(std::unique_ptr<Transaction> txn);
+
+  std::atomic<TxnId> next_id_{1};
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace ariesim

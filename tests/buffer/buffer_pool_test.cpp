@@ -84,9 +84,16 @@ TEST_F(BufferPoolTest, WalRuleForcesLogBeforeSteal) {
     g.value().MarkDirty(rec_end);  // page_LSN points past the record
   }
   EXPECT_LT(log_->flushed_lsn(), rec_end);
-  // Evict page 1 by touching two other pages.
-  { auto a = pool->FetchPage(2, LatchMode::kShared); ASSERT_TRUE(a.ok()); }
-  { auto b = pool->FetchPage(3, LatchMode::kShared); ASSERT_TRUE(b.ok()); }
+  // Evict page 1 by touching 2 x frames other pages: enough for any
+  // replacement policy to steal it.
+  for (PageId id = 2; id < 6; ++id) {
+    auto g = pool->FetchPage(id, LatchMode::kShared);
+    ASSERT_TRUE(g.ok());
+  }
+  std::vector<char> on_disk(disk_->page_size());
+  ASSERT_OK(disk_->ReadPage(1, on_disk.data()));
+  ASSERT_EQ(PageView(on_disk.data(), on_disk.size()).page_lsn(), rec_end)
+      << "page 1 was never stolen";
   EXPECT_GE(log_->flushed_lsn(), rec_end)
       << "dirty steal must force the log up to page_LSN first";
 }

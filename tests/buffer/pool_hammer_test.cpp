@@ -6,6 +6,10 @@
 //  - S readers check the counter never goes backwards;
 //  - optimistic readers snapshot the page through an OptimisticPageGuard and
 //    make the same check, but only after the snapshot validates.
+// PoolIdentityTest runs four readers over pages stamped with their own id,
+// through a pool a quarter of the working set: hits on the sharded page
+// table race CLOCK evictions, and a frame remapped while pinned shows up as
+// a guard returning another page's id or bytes.
 // Seed list overridable via ARIESIM_STRESS_SEEDS ("7", "1,2,9", "1-32").
 #include <gtest/gtest.h>
 
@@ -119,6 +123,83 @@ TEST_P(PoolHammerTest, CountersNeverGoBackwards) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolHammerTest,
+                         ::testing::ValuesIn(StressSeeds(3)));
+
+class PoolIdentityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PoolIdentityTest, EveryGuardHoldsTheRequestedPage) {
+  constexpr int kReaders = 4;
+  constexpr size_t kSmallPool = kPages / 4;
+  const uint64_t seed = GetParam();
+  TempDir dir("bp_identity");
+  Metrics m;
+  DiskManager disk(dir.path() + "/data.db", 512, &m);
+  ASSERT_OK(disk.Open());
+  LogManager log(dir.path() + "/wal", &m, false);
+  ASSERT_OK(log.Open());
+  BufferPool pool(&disk, &log, kSmallPool, &m, /*verify_checksums=*/true);
+  const size_t body = pool.page_size() - kPageHeaderSize;
+  auto stamp = [](PageId p, size_t i) { return static_cast<char>(p * 31 + i); };
+  for (PageId p = 0; p < kPages; ++p) {
+    auto g = pool.FetchPage(p, LatchMode::kExclusive);
+    ASSERT_TRUE(g.ok());
+    g.value().view().Init(p, PageType::kHeap, 1, 0);
+    char* b = g.value().view().data() + kPageHeaderSize;
+    for (size_t i = 0; i < body; ++i) b[i] = stamp(p, i);
+    g.value().MarkDirty(1);
+  }
+  const uint64_t reads_before = m.pages_read.load();
+
+  std::atomic<int> errors{0};
+  auto reader = [&](int t) {
+    Random rnd(seed * 7919 + static_cast<uint64_t>(t));
+    std::vector<char> snap(pool.page_size());
+    for (int i = 0; i < kOpsPerThread && errors.load() == 0; ++i) {
+      // Half the draws come from a hot quarter so hits dominate, the rest
+      // spread over every page and keep the CLOCK hand moving.
+      const PageId p = static_cast<PageId>(
+          rnd.Uniform(2) == 0 ? rnd.Uniform(kSmallPool / 2) : rnd.Uniform(kPages));
+      const char* b;
+      PageGuard g;
+      OptimisticPageGuard og;
+      if (rnd.Uniform(4) == 0) {
+        auto r = pool.FetchPageOptimistic(p);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        og = std::move(r).value();
+        uint64_t version = 0;
+        if (!og.TrySnapshot(snap.data(), &version)) continue;
+        b = snap.data();
+      } else {
+        auto r = pool.FetchPage(p, LatchMode::kShared);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        g = std::move(r).value();
+        b = g.view().data();
+      }
+      const PageId held = g.valid() ? g.page_id() : og.page_id();
+      PageView v(const_cast<char*>(b), pool.page_size());
+      bool same = held == p && v.page_id() == p;
+      for (size_t k = 0; same && k < body; ++k) {
+        same = b[kPageHeaderSize + k] == stamp(p, k);
+      }
+      if (!same) {
+        ADD_FAILURE() << "asked for page " << p << ", guard holds " << held
+                      << " with header id " << v.page_id();
+        errors.fetch_add(1);
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) threads.emplace_back(reader, t);
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(errors.load(), 0);
+  const uint64_t misses = m.pages_read.load() - reads_before;
+  EXPECT_GT(misses, 0u) << "no evictions";
+  EXPECT_LT(misses, static_cast<uint64_t>(kReaders) * kOpsPerThread)
+      << "no hits";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PoolIdentityTest,
                          ::testing::ValuesIn(StressSeeds(3)));
 
 }  // namespace

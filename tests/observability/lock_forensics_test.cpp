@@ -4,15 +4,21 @@
 //  - the postmortem ring is bounded and keeps the newest entries;
 //  - the blocked-waiter watchdog fires exactly once per contention episode
 //    and re-arms after the episode drains;
+//  - a three-transaction cycle over names in three different lock-table
+//    shards is detected once and leaves exactly one postmortem;
 //  - Snapshot() is internally consistent under an 8-thread storm (every
-//    waits-for edge endpoint exists, every blocked txn's queue is present);
+//    waits-for edge endpoint exists, every blocked txn's queue is present),
+//    and under raw 4-thread lock/unlock churn its queues stay sorted and
+//    every granted holder is listed in `txns`;
 //  - the waits-for DOT export is a well-formed digraph.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -94,6 +100,60 @@ TEST(LockForensics, TwoTxnDeadlockPostmortemNamesBothSides) {
   std::string json = pm.ToJson();
   EXPECT_NE(json.find("\"victim\":2"), std::string::npos) << json;
   EXPECT_NE(json.find(kNameA.ToString()), std::string::npos) << json;
+}
+
+TEST(LockForensics, ThreeTxnCycleAcrossShardsRecordedOnce) {
+  // One name per shard, so the cycle's edges live in three shards.
+  std::vector<LockName> names;
+  std::unordered_set<size_t> shards;
+  for (uint16_t slot = 0; names.size() < 3; ++slot) {
+    LockName n = LockName::Record(1, Rid{7, slot});
+    if (shards.insert(LockManager::ShardIndex(n)).second) names.push_back(n);
+  }
+  Metrics metrics;
+  LockManager lm(&metrics);
+  for (TxnId t = 1; t <= 3; ++t) {
+    ASSERT_TRUE(lm.Lock(t, names[t - 1], LockMode::kX, LockDuration::kManual,
+                        /*conditional=*/false)
+                    .ok());
+  }
+  // 1 waits for 2, 2 waits for 3; 3 closing the cycle is the victim.
+  std::thread t1([&] {
+    EXPECT_TRUE(lm.Lock(1, names[1], LockMode::kX, LockDuration::kManual,
+                        /*conditional=*/false)
+                    .ok());
+  });
+  std::thread t2([&] {
+    EXPECT_TRUE(lm.Lock(2, names[2], LockMode::kX, LockDuration::kManual,
+                        /*conditional=*/false)
+                    .ok());
+    lm.ReleaseAll(2);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  Status victim = lm.Lock(3, names[0], LockMode::kX, LockDuration::kManual,
+                          /*conditional=*/false);
+  // Let the other members' detector polls see the cycle before it breaks.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  lm.ReleaseAll(3);
+  t2.join();
+  t1.join();
+  lm.ReleaseAll(1);
+
+  ASSERT_TRUE(victim.IsDeadlock()) << victim.ToString();
+  EXPECT_NE(victim.ToString().find("cycle[len=3]"), std::string::npos)
+      << victim.ToString();
+  std::vector<DeadlockPostmortem> pms = lm.Postmortems();
+  ASSERT_EQ(pms.size(), 1u);
+  EXPECT_EQ(pms[0].victim, 3u);
+  ASSERT_EQ(pms[0].cycle.size(), 3u);
+  std::unordered_set<std::string> waited_on;
+  for (const DeadlockCycleNode& n : pms[0].cycle) {
+    waited_on.insert(n.name.ToString());
+  }
+  EXPECT_EQ(waited_on.size(), 3u);
+  EXPECT_EQ(lm.CycleLengthCounts()[3], 1u);
+  EXPECT_EQ(metrics.deadlocks.load(), 1u);
+  EXPECT_TRUE(lm.Snapshot().queues.empty());
 }
 
 TEST(LockForensics, PostmortemRingKeepsNewestEntries) {
@@ -286,6 +346,68 @@ TEST(LockForensics, SnapshotConsistentUnderStorm) {
   for (const TxnLockInfo& t : drained.txns) EXPECT_FALSE(t.blocked);
   // Stats() carries the same forensics section.
   EXPECT_NE(db->Stats().ToJson().find("\"locks\""), std::string::npos);
+}
+
+TEST(LockForensics, SnapshotSortedAndCompleteUnderChurn) {
+  constexpr int kThreads = 4;
+  constexpr int kNames = 24;
+  Metrics metrics;
+  LockManager lm(&metrics);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      Random rnd(77 + static_cast<uint64_t>(w));
+      // Each worker runs a fresh transaction id per round.
+      for (TxnId txn = 100 * (w + 1); !stop.load(); txn += 1000) {
+        for (int i = 0; i < 6; ++i) {
+          LockName n = LockName::Record(
+              2, Rid{static_cast<PageId>(rnd.Uniform(kNames)), 0});
+          LockMode m = rnd.Uniform(3) == 0 ? LockMode::kX : LockMode::kS;
+          Status s = lm.Lock(txn, n, m, LockDuration::kManual,
+                             /*conditional=*/false);
+          if (s.IsDeadlock()) break;
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          if (rnd.Uniform(3) == 0) lm.Unlock(txn, n);
+        }
+        lm.ReleaseAll(txn);
+      }
+    });
+  }
+  auto before = [](const LockName& a, const LockName& b) {
+    return std::tie(a.space, a.object, a.a, a.b) <
+           std::tie(b.space, b.object, b.a, b.b);
+  };
+  for (int i = 0; i < 200; ++i) {
+    LockTableSnapshot snap = lm.Snapshot();
+    CheckSnapshotConsistent(snap);
+    std::unordered_set<TxnId> listed;
+    for (const TxnLockInfo& t : snap.txns) listed.insert(t.txn);
+    for (size_t q = 0; q < snap.queues.size(); ++q) {
+      if (q > 0) {
+        EXPECT_TRUE(before(snap.queues[q - 1].name, snap.queues[q].name))
+            << "queues not sorted at " << q;
+      }
+      for (const LockRequestInfo& r : snap.queues[q].requests) {
+        if (r.granted) {
+          EXPECT_TRUE(listed.count(r.txn))
+              << "granted holder txn" << r.txn << " missing from txns";
+        }
+      }
+    }
+    // DumpState() renders the same sorted queues: "rec:2:<page>:0: ...".
+    std::istringstream dump(lm.DumpState());
+    long prev_page = -1;
+    for (std::string line; std::getline(dump, line);) {
+      if (line.rfind("rec:2:", 0) != 0) continue;
+      long page = std::stol(line.substr(6));
+      EXPECT_LT(prev_page, page) << "DumpState queues not sorted: " << line;
+      prev_page = page;
+    }
+  }
+  stop = true;
+  for (auto& t : workers) t.join();
+  EXPECT_TRUE(lm.Snapshot().queues.empty());
 }
 
 }  // namespace

@@ -23,7 +23,13 @@
 # flight recorder (cadence thread vs forced captures, trip/flush-failure
 # observers firing from engine threads, trace dumps racing recorders
 # across enable flips) — the TSan leg is what certifies them
-# data-race-free (see docs/OBSERVABILITY.md).
+# data-race-free (see docs/OBSERVABILITY.md). It also certifies the sharded
+# tables that keep a point read off every global mutex: the buffer pool's
+# page table (atomic pins, CLOCK eviction; pool_hammer_test), the lock
+# table (deadlock detection and Snapshot() across shards;
+# lock_forensics_test, lock_manager_test) and the transaction table
+# (checkpoint snapshots against concurrent appends; checkpoint_test) — see
+# docs/CONCURRENCY.md, "Lock order and sharding".
 # Stress-test seed lists can be narrowed for quicker sanitized runs:
 #   ARIESIM_STRESS_SEEDS=1-4 tools/run_sanitized_tests.sh thread
 set -euo pipefail
