@@ -116,13 +116,22 @@ Frame* BufferPool::PinLocked(Shard& sh, PageId id) {
   return it->second;
 }
 
-Frame* BufferPool::ClaimVictimLocked() {
+Frame* BufferPool::ClaimFrame() {
+  {
+    std::lock_guard<std::mutex> flk(free_mu_);
+    if (!free_frames_.empty()) {
+      Frame* f = free_frames_.back();
+      free_frames_.pop_back();
+      f->pin_count.store(1, std::memory_order_relaxed);
+      return f;
+    }
+  }
   // Two passes clear every reference bit; a third ignores them, so hits
   // racing the sweep cannot starve a miss while an unpinned frame exists.
   const size_t n = frames_.size();
   for (size_t step = 0; step < 3 * n; ++step) {
-    Frame* f = frames_[clock_hand_].get();
-    clock_hand_ = (clock_hand_ + 1) % n;
+    Frame* f = frames_[clock_hand_.fetch_add(1, std::memory_order_relaxed) % n]
+                   .get();
     if (f->pin_count.load(std::memory_order_relaxed) != 0) continue;
     if (f->referenced.exchange(false, std::memory_order_relaxed) &&
         step < 2 * n) {
@@ -131,193 +140,181 @@ Frame* BufferPool::ClaimVictimLocked() {
     // New pins happen only under the shard mutex, so a zero count read here
     // stays zero once the frame is unmapped. The acquire pairs with Unpin's
     // release: the last holder's writes are visible to the write-back.
-    Shard& sh = ShardFor(f->page_id);
+    const PageId pid = f->page_id.load(std::memory_order_relaxed);
+    Shard& sh = ShardFor(pid);
     std::lock_guard<std::mutex> slk(sh.mu);
-    auto it = sh.table.find(f->page_id);
+    auto it = sh.table.find(pid);
     if (it == sh.table.end() || it->second != f ||
         f->pin_count.load(std::memory_order_acquire) != 0) {
       continue;
     }
     sh.table.erase(it);
+    f->pin_count.store(1, std::memory_order_relaxed);
+    // Same critical section as the unmap: the page never vanishes from
+    // both the table and writing_back, so no fetch can reload a stale
+    // image and no DirtyPageTable() can miss it.
+    if (f->dirty) sh.writing_back.emplace(pid, f->rec_lsn);
     return f;
   }
   return nullptr;
 }
 
-void BufferPool::MapLocked(Frame* f) {
-  Shard& sh = ShardFor(f->page_id);
-  std::lock_guard<std::mutex> slk(sh.mu);
-  sh.table[f->page_id] = f;
-}
-
 Result<Frame*> BufferPool::FetchFrame(PageId id) {
   Shard& sh = ShardFor(id);
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
-  while (true) {
-    {
-      std::lock_guard<std::mutex> slk(sh.mu);
+  bool pending = false;
+  Lsn pending_rec_lsn = kNullLsn;
+  {
+    std::unique_lock<std::mutex> lk(sh.mu);
+    while (true) {
       if (Frame* f = PinLocked(sh, id)) return f;
+      // Wait while someone else is loading this page OR while an evicted
+      // dirty copy of it is still being written back — re-reading the page
+      // from disk before the write-back lands would resurrect a stale
+      // version and silently lose committed updates.
+      if (sh.loading.count(id) == 0 && sh.writing_back.count(id) == 0) break;
+      sh.cv.wait(lk);
     }
-    if (!lk.owns_lock()) {  // a hit needs only the shard; a miss needs mu_
-      lk.lock();
-      continue;
-    }
-    // Wait while someone else is loading this page OR while an evicted
-    // dirty copy of it is still being written back — re-reading the page
-    // from disk before the write-back lands would resurrect a stale
-    // version and silently lose committed updates.
-    if (io_in_progress_.count(id) != 0 || writing_back_.count(id) != 0) {
-      io_cv_.wait(lk);
-      continue;  // re-check the table
-    }
-    // Miss: claim a frame.
-    Frame* victim = nullptr;
-    if (!free_frames_.empty()) {
-      victim = free_frames_.back();
-      free_frames_.pop_back();
-    } else if ((victim = ClaimVictimLocked()) == nullptr) {
-      return Status::Busy("buffer pool exhausted (all frames pinned)");
-    }
-    victim->pin_count.store(1, std::memory_order_relaxed);
-    io_in_progress_.insert(id);
-    bool victim_dirty = victim->dirty;
-    PageId victim_old_id = victim->page_id;
-    if (victim_dirty) writing_back_.emplace(victim_old_id, victim->rec_lsn);
-    // Instant restart: capture the pending-redo schedule before dropping the
-    // mutex; the quarantine keeps it stable until this fetch resolves it.
-    bool pending = false;
-    Lsn pending_rec_lsn = kNullLsn;
-    if (auto pit = pending_redo_.find(id); pit != pending_redo_.end()) {
+    sh.loading.insert(id);
+    // Instant restart: the quarantine keeps the schedule stable until this
+    // fetch resolves it.
+    if (auto pit = sh.pending_redo.find(id); pit != sh.pending_redo.end()) {
       pending = true;
       pending_rec_lsn = pit->second;
     }
-    lk.unlock();
+  }
+  Frame* victim = ClaimFrame();
+  if (victim == nullptr) {
+    std::lock_guard<std::mutex> lk(sh.mu);
+    sh.loading.erase(id);
+    sh.cv.notify_all();
+    return Status::Busy("buffer pool exhausted (all frames pinned)");
+  }
 
-    // Miss latency: everything between releasing the pool mutex and the
-    // page being usable — evict write-back, disk read, checksum verify and
-    // (worst case) online repair.
-    const uint64_t miss_start_ns = MonotonicNowNs();
-    ARIES_TRACE_SPAN(miss_span, "bp.miss", TraceCat::kBuffer, id);
-    Status s;
-    bool victim_persisted = true;
-    if (victim_dirty) {
-      ARIES_TRACE_SPAN(evict_span, "bp.evict_write", TraceCat::kBuffer,
-                       victim_old_id);
-      s = WriteFrame(victim);
-      victim_persisted = s.ok();
+  // Miss latency: everything between claiming the frame and the page being
+  // usable — evict write-back, disk read, checksum verify and (worst case)
+  // online repair.
+  const uint64_t miss_start_ns = MonotonicNowNs();
+  ARIES_TRACE_SPAN(miss_span, "bp.miss", TraceCat::kBuffer, id);
+  Status s;
+  bool victim_persisted = true;
+  if (victim->dirty) {
+    const PageId old_id = victim->page_id.load(std::memory_order_relaxed);
+    ARIES_TRACE_SPAN(evict_span, "bp.evict_write", TraceCat::kBuffer, old_id);
+    s = WriteFrame(victim);
+    victim_persisted = s.ok();
+    Shard& old = ShardFor(old_id);
+    std::lock_guard<std::mutex> olk(old.mu);
+    old.writing_back.erase(old_id);
+    if (!victim_persisted) {
+      // The dirty victim never reached disk, so this frame still holds the
+      // only current copy of the page. Map it back instead of freeing it —
+      // freeing it would silently discard committed updates whose log
+      // prefix may not even be durable yet. No other thread can have
+      // reloaded the page meanwhile: its id sat in writing_back until this
+      // same critical section.
+      old.table[old_id] = victim;
+      victim->pin_count.store(0, std::memory_order_release);
     }
-    if (s.ok()) {
-      s = disk_->ReadPage(id, victim->data.get());
-      if (s.ok() && verify_checksums_) {
-        char* data = victim->data.get();
-        PageView v(data, page_size_);
-        if (v.type() != PageType::kInvalid) {
-          uint32_t crc = crc32c::Value(data + 4, page_size_ - 4);
-          if (v.checksum() != crc32c::Mask(crc)) {
+    old.cv.notify_all();
+  }
+  if (s.ok()) {
+    s = disk_->ReadPage(id, victim->data.get());
+    if (s.ok() && verify_checksums_) {
+      char* data = victim->data.get();
+      PageView v(data, page_size_);
+      if (v.type() != PageType::kInvalid) {
+        uint32_t crc = crc32c::Value(data + 4, page_size_ - 4);
+        if (v.checksum() != crc32c::Mask(crc)) {
+          s = Status::Corruption("page " + std::to_string(id) +
+                                 " checksum mismatch");
+        }
+      } else {
+        // A genuinely never-written page is all zero. Anything else is
+        // rot hiding behind a cleared type byte — a zero "checksum" must
+        // not buy a free pass (the old `checksum() != 0` escape did).
+        for (size_t i = 0; i < page_size_; i++) {
+          if (data[i] != 0) {
             s = Status::Corruption("page " + std::to_string(id) +
-                                   " checksum mismatch");
-          }
-        } else {
-          // A genuinely never-written page is all zero. Anything else is
-          // rot hiding behind a cleared type byte — a zero "checksum" must
-          // not buy a free pass (the old `checksum() != 0` escape did).
-          for (size_t i = 0; i < page_size_; i++) {
-            if (data[i] != 0) {
-              s = Status::Corruption("page " + std::to_string(id) +
-                                     " unformatted but not blank");
-              break;
-            }
+                                   " unformatted but not blank");
+            break;
           }
         }
       }
     }
-    bool repaired = false;
-    if (!s.ok() && victim_persisted && repair_ &&
-        (s.code() == Code::kCorruption || s.code() == Code::kIOError)) {
-      // Online quarantine + repair: `id` still sits in io_in_progress_, so
-      // no guard on this page exists anywhere and no new log records for it
-      // can be appended while the handler replays its history into the
-      // claimed frame. Other pages keep flowing normally.
-      ARIES_TRACE_SPAN(repair_span, "bp.repair", TraceCat::kBuffer, id);
-      Status rs = repair_(id, victim->data.get());
-      if (rs.ok()) {
-        s = Status::OK();
-        repaired = true;  // full rebuild: the image is already current
-      }
+  }
+  bool repaired = false;
+  if (!s.ok() && victim_persisted && repair_ &&
+      (s.code() == Code::kCorruption || s.code() == Code::kIOError)) {
+    // Online quarantine + repair: `id` still sits in its shard's `loading`
+    // set, so no guard on this page exists anywhere and no new log records
+    // for it can be appended while the handler replays its history into
+    // the claimed frame. Other pages keep flowing normally.
+    ARIES_TRACE_SPAN(repair_span, "bp.repair", TraceCat::kBuffer, id);
+    Status rs = repair_(id, victim->data.get());
+    if (rs.ok()) {
+      s = Status::OK();
+      repaired = true;  // full rebuild: the image is already current
     }
-    Lsn lazy_first_applied = kNullLsn;
-    if (s.ok() && pending && !repaired) {
-      // On-demand redo inside the same quarantine the repair path uses: the
-      // page is invisible until its LSN chain has been replayed onto the
-      // just-read image, so no reader can ever observe the stale version.
-      if (lazy_redo_) {
-        ARIES_TRACE_SPAN(lazy_span, "bp.lazy_redo", TraceCat::kBuffer, id);
-        const uint64_t lazy_start_ns = MonotonicNowNs();
-        s = lazy_redo_(id, victim->data.get(), pending_rec_lsn,
-                       &lazy_first_applied);
-        if (metrics_ != nullptr) {
-          metrics_->lazy_replay_latency.Record(MonotonicNowNs() -
-                                               lazy_start_ns);
-        }
-      } else {
-        // Serving the page without its redo debt would silently lose
-        // committed updates; fail the fetch instead.
-        s = Status::Corruption("page " + std::to_string(id) +
-                               " pending redo but no lazy-redo handler");
+  }
+  Lsn lazy_first_applied = kNullLsn;
+  if (s.ok() && pending && !repaired) {
+    // On-demand redo inside the same quarantine the repair path uses: the
+    // page is invisible until its LSN chain has been replayed onto the
+    // just-read image, so no reader can ever observe the stale version.
+    if (lazy_redo_) {
+      ARIES_TRACE_SPAN(lazy_span, "bp.lazy_redo", TraceCat::kBuffer, id);
+      const uint64_t lazy_start_ns = MonotonicNowNs();
+      s = lazy_redo_(id, victim->data.get(), pending_rec_lsn,
+                     &lazy_first_applied);
+      if (metrics_ != nullptr) {
+        metrics_->lazy_replay_latency.Record(MonotonicNowNs() -
+                                             lazy_start_ns);
       }
+    } else {
+      // Serving the page without its redo debt would silently lose
+      // committed updates; fail the fetch instead.
+      s = Status::Corruption("page " + std::to_string(id) +
+                             " pending redo but no lazy-redo handler");
     }
+  }
 
-    if (s.ok()) {
-      PageView lv(victim->data.get(), page_size_);
-      Status ps = ParanoidCheckLoad(id, lv.page_lsn());
-      if (!ps.ok()) s = ps;
-    }
-    if (metrics_ != nullptr) {
-      metrics_->page_miss_latency.Record(MonotonicNowNs() - miss_start_ns);
-    }
-    lk.lock();
-    io_in_progress_.erase(id);
-    if (victim_dirty) writing_back_.erase(victim_old_id);
-    if (!s.ok()) {
-      victim->pin_count.store(0, std::memory_order_relaxed);
-      if (!victim_persisted) {
-        // The dirty victim never reached disk, so this frame still holds the
-        // only current copy of the page. Put it back in the table instead of
-        // freeing the frame — freeing it would silently discard committed
-        // updates whose log prefix may not even be durable yet. No other
-        // thread can have reloaded the page meanwhile: its id sat in
-        // writing_back_ until this same critical section.
-        victim->page_id = victim_old_id;
-        MapLocked(victim);
-      } else {
-        victim->page_id = kInvalidPageId;
-        victim->dirty = false;
-        victim->rec_lsn = kNullLsn;
-        free_frames_.push_back(victim);
-      }
-      io_cv_.notify_all();
-      return s;
-    }
-    victim->page_id = id;
+  if (s.ok()) {
+    PageView lv(victim->data.get(), page_size_);
+    Status ps = ParanoidCheckLoad(id, lv.page_lsn());
+    if (!ps.ok()) s = ps;
+  }
+  if (metrics_ != nullptr) {
+    metrics_->page_miss_latency.Record(MonotonicNowNs() - miss_start_ns);
+  }
+  if (!s.ok() && victim_persisted) {
+    victim->page_id.store(kInvalidPageId, std::memory_order_relaxed);
     victim->dirty = false;
     victim->rec_lsn = kNullLsn;
-    if (pending) {
-      pending_redo_.erase(id);
-      if (lazy_first_applied != kNullLsn) {
-        // The replayed image is newer than disk; recLSN is the first record
-        // the replay applied, exactly as if redo had dirtied the page.
-        victim->dirty = true;
-        victim->rec_lsn = lazy_first_applied;
-      }
-      if (metrics_ != nullptr) {
-        metrics_->pages_recovered_lazily.fetch_add(1,
-                                                   std::memory_order_relaxed);
-      }
-    }
-    MapLocked(victim);
-    io_cv_.notify_all();
-    return victim;
+    victim->pin_count.store(0, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> flk(free_mu_);
+    free_frames_.push_back(victim);
   }
+  std::lock_guard<std::mutex> lk(sh.mu);
+  sh.loading.erase(id);
+  sh.cv.notify_all();
+  if (!s.ok()) return s;
+  victim->page_id.store(id, std::memory_order_relaxed);
+  victim->dirty = false;
+  victim->rec_lsn = kNullLsn;
+  if (pending) {
+    sh.pending_redo.erase(id);
+    if (lazy_first_applied != kNullLsn) {
+      // The replayed image is newer than disk; recLSN is the first record
+      // the replay applied, exactly as if redo had dirtied the page.
+      victim->dirty = true;
+      victim->rec_lsn = lazy_first_applied;
+    }
+    if (metrics_ != nullptr) {
+      metrics_->pages_recovered_lazily.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  sh.table[id] = victim;
+  return victim;
 }
 
 Result<PageGuard> BufferPool::FetchPage(PageId id, LatchMode mode) {
@@ -377,7 +374,8 @@ void BufferPool::Unpin(Frame* frame) {
 }
 
 void BufferPool::NoteDirty(Frame* frame, Lsn lsn) {
-  std::lock_guard<std::mutex> lk(mu_);
+  // The caller's pin keeps the frame mapped to its page.
+  std::lock_guard<std::mutex> lk(ShardFor(frame->page_id).mu);
   if (!frame->dirty) {
     frame->dirty = true;
     frame->rec_lsn = lsn;
@@ -385,9 +383,8 @@ void BufferPool::NoteDirty(Frame* frame, Lsn lsn) {
 }
 
 void BufferPool::NoteDirtyById(PageId id, Lsn lsn) {
-  std::lock_guard<std::mutex> lk(mu_);
   Shard& sh = ShardFor(id);
-  std::lock_guard<std::mutex> slk(sh.mu);
+  std::lock_guard<std::mutex> lk(sh.mu);
   auto it = sh.table.find(id);
   if (it == sh.table.end()) return;  // caller will dirty it on apply
   Frame* f = it->second;
@@ -447,23 +444,21 @@ Status BufferPool::ParanoidCheckLoad(PageId id, Lsn loaded_lsn) {
 }
 
 Status BufferPool::FlushPage(PageId id) {
-  std::unique_lock<std::mutex> lk(mu_);
   Shard& sh = ShardFor(id);
   Frame* f;
   {
-    std::lock_guard<std::mutex> slk(sh.mu);
+    std::lock_guard<std::mutex> lk(sh.mu);
     auto it = sh.table.find(id);
     if (it == sh.table.end() || !it->second->dirty) return Status::OK();
     f = it->second;
     f->pin_count.fetch_add(1, std::memory_order_relaxed);
   }
-  lk.unlock();
   // Exclusive: no torn in-flight update, and WriteFrame's checksum stamp
   // into the frame cannot race a concurrent flush of the same page.
   f->latch.LockExclusive();
   Status s = WriteFrame(f);
   if (s.ok()) {
-    std::lock_guard<std::mutex> lk2(mu_);
+    std::lock_guard<std::mutex> lk(sh.mu);
     f->dirty = false;
     f->rec_lsn = kNullLsn;
   }
@@ -482,9 +477,8 @@ Status BufferPool::FlushAll() {
 }
 
 Status BufferPool::DiscardPage(PageId id) {
-  std::lock_guard<std::mutex> lk(mu_);
   Shard& sh = ShardFor(id);
-  std::lock_guard<std::mutex> slk(sh.mu);
+  std::lock_guard<std::mutex> lk(sh.mu);
   auto it = sh.table.find(id);
   if (it == sh.table.end()) return Status::OK();
   Frame* f = it->second;
@@ -492,76 +486,81 @@ Status BufferPool::DiscardPage(PageId id) {
     return Status::Busy("cannot discard pinned page " + std::to_string(id));
   }
   sh.table.erase(it);
-  f->page_id = kInvalidPageId;
+  f->page_id.store(kInvalidPageId, std::memory_order_relaxed);
   f->dirty = false;
   f->rec_lsn = kNullLsn;
+  std::lock_guard<std::mutex> flk(free_mu_);  // shard -> free_mu_, never back
   free_frames_.push_back(f);
   return Status::OK();
 }
 
 void BufferPool::MarkPendingRedo(
     const std::unordered_map<PageId, Lsn>& dpt) {
-  std::lock_guard<std::mutex> lk(mu_);
   for (auto& [page, rec_lsn] : dpt) {
+    Shard& sh = ShardFor(page);
+    std::lock_guard<std::mutex> lk(sh.mu);
     // Oldest recLSN wins (a nested crash can re-mark a page that was
     // already pending with a fresher DPT entry).
-    auto [it, inserted] = pending_redo_.emplace(page, rec_lsn);
+    auto [it, inserted] = sh.pending_redo.emplace(page, rec_lsn);
     if (!inserted && rec_lsn < it->second) it->second = rec_lsn;
   }
 }
 
 size_t BufferPool::PendingRedoCount() {
-  std::lock_guard<std::mutex> lk(mu_);
-  return pending_redo_.size();
+  size_t n = 0;
+  for (Shard& sh : shards_) {
+    std::lock_guard<std::mutex> lk(sh.mu);
+    n += sh.pending_redo.size();
+  }
+  return n;
 }
 
 bool BufferPool::NextPendingRedo(PageId* id) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (pending_redo_.empty()) return false;
-  *id = pending_redo_.begin()->first;
-  return true;
+  for (Shard& sh : shards_) {
+    std::lock_guard<std::mutex> lk(sh.mu);
+    if (!sh.pending_redo.empty()) {
+      *id = sh.pending_redo.begin()->first;
+      return true;
+    }
+  }
+  return false;
 }
 
 void BufferPool::DropAll() {
-  std::lock_guard<std::mutex> lk(mu_);
   for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> slk(sh.mu);
+    std::lock_guard<std::mutex> lk(sh.mu);
+    for (auto& [id, f] : sh.table) {
+      f->page_id.store(kInvalidPageId, std::memory_order_relaxed);
+      f->pin_count.store(0, std::memory_order_relaxed);
+      f->dirty = false;
+      f->rec_lsn = kNullLsn;
+    }
     sh.table.clear();
+    sh.pending_redo.clear();
   }
+  std::lock_guard<std::mutex> flk(free_mu_);
   free_frames_.clear();
-  pending_redo_.clear();
-  for (auto& f : frames_) {
-    f->page_id = kInvalidPageId;
-    f->pin_count.store(0, std::memory_order_relaxed);
-    f->dirty = false;
-    f->rec_lsn = kNullLsn;
-    free_frames_.push_back(f.get());
-  }
+  for (auto& f : frames_) free_frames_.push_back(f.get());
 }
 
 std::vector<std::pair<PageId, Lsn>> BufferPool::DirtyPageTable() {
-  std::lock_guard<std::mutex> lk(mu_);
   std::vector<std::pair<PageId, Lsn>> dpt;
   for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> slk(sh.mu);
+    std::lock_guard<std::mutex> lk(sh.mu);
     for (auto& [id, f] : sh.table) {
       if (f->dirty) dpt.emplace_back(id, f->rec_lsn);
     }
-  }
-  // Evicted dirty frames whose write-back is still in flight are out of
-  // the page table but not yet durable; count them as dirty so a concurrent
-  // fuzzy checkpoint stays conservative. If the write-back succeeds the
-  // extra entry merely costs redo a few page_lsn checks; if it fails the
-  // entry is the only thing keeping the page's recLSN in the checkpoint.
-  for (auto& [id, rec_lsn] : writing_back_) {
-    dpt.emplace_back(id, rec_lsn);
-  }
-  // Pages still awaiting their first-touch redo carry unapplied log history
-  // exactly like dirty frames do; a checkpoint that dropped them would let
-  // a crash during instant restart lose their recLSNs (and with them the
-  // pruned page-index chains' floor).
-  for (auto& [id, rec_lsn] : pending_redo_) {
-    dpt.emplace_back(id, rec_lsn);
+    // Evicted dirty frames whose write-back is still in flight are out of
+    // the table but not yet durable; count them as dirty so a concurrent
+    // fuzzy checkpoint stays conservative. If the write-back succeeds the
+    // extra entry merely costs redo a few page_lsn checks; if it fails the
+    // entry is the only thing keeping the page's recLSN in the checkpoint.
+    for (auto& [id, rec_lsn] : sh.writing_back) dpt.emplace_back(id, rec_lsn);
+    // Pages still awaiting their first-touch redo carry unapplied log
+    // history exactly like dirty frames do; a checkpoint that dropped them
+    // would let a crash during instant restart lose their recLSNs (and with
+    // them the pruned page-index chains' floor).
+    for (auto& [id, rec_lsn] : sh.pending_redo) dpt.emplace_back(id, rec_lsn);
   }
   return dpt;
 }

@@ -32,12 +32,14 @@ namespace ariesim {
 
 struct Frame {
   std::unique_ptr<char[]> data;
-  PageId page_id = kInvalidPageId;  // written under mu_ and the page's shard
+  /// Atomic so the CLOCK sweep can find the shard to lock; changes only
+  /// while the frame is unmapped and pinned by the thread that claimed it.
+  std::atomic<PageId> page_id{kInvalidPageId};
   /// Incremented only under the shard mutex of the page the frame is mapped
-  /// to (or under mu_ for a frame no shard maps); Unpin decrements lock-free.
+  /// to, or by the thread claiming it; Unpin decrements lock-free.
   std::atomic<int> pin_count{0};
   std::atomic<bool> referenced{false};  ///< CLOCK reference bit
-  bool dirty = false;   // protected by pool mutex
+  bool dirty = false;      // guarded by the shard of the frame's page
   Lsn rec_lsn = kNullLsn;  ///< LSN that first dirtied the page (for the DPT)
   /// The page latch; its version is the optimistic readers' seqlock. Guards
   /// hold a pin, so a version never aliases across pages.
@@ -171,8 +173,8 @@ class BufferPool {
 
   /// Online media recovery hook: called from a fetch miss whose read failed
   /// its checksum (or kept failing with an I/O error past disk retries),
-  /// with the page still quarantined in io_in_progress_ — no guard on it
-  /// can exist, so no new log records for it can be appended. The handler
+  /// with the page still quarantined in `loading` — no guard on it can
+  /// exist, so no new log records for it can be appended. The handler
   /// rebuilds the page image into the supplied frame buffer (and persists
   /// it); on OK the fetch proceeds as if the read had succeeded. An empty
   /// handler disables online repair.
@@ -183,8 +185,8 @@ class BufferPool {
 
   /// Instant-restart hook (docs/ARCHITECTURE.md, "Instant restart"): called
   /// from a fetch miss on a page marked pending-redo, after the disk image
-  /// passed its checksum, with the page still quarantined in
-  /// io_in_progress_. Arguments: page id, frame buffer holding the disk
+  /// passed its checksum, with the page still quarantined in `loading`.
+  /// Arguments: page id, frame buffer holding the disk
   /// image, the scheduled recLSN, and an out-param for the first LSN the
   /// replay applied (kNullLsn if the image was already current). On OK the
   /// page leaves the pending set and the fetch proceeds; on error the fetch
@@ -225,11 +227,28 @@ class BufferPool {
   friend class PageGuard;
   friend class OptimisticPageGuard;
 
-  /// One slice of the page table. Lock order: mu_ -> shard, never the
-  /// reverse; a hit takes only its shard.
+  /// One slice of the pool. Every piece of a page's state lives in the
+  /// shard its id hashes to, and no code path holds two shards at once, so
+  /// DirtyPageTable() can read the shards one at a time.
   struct alignas(64) Shard {
     std::mutex mu;
+    std::condition_variable cv;  ///< a `loading`/`writing_back` entry left
     std::unordered_map<PageId, Frame*> table;
+    /// Pages a fetch miss is reading (and maybe repairing or replaying):
+    /// the quarantine. Other fetchers of the page wait on `cv`.
+    std::unordered_set<PageId> loading;
+    /// Evicted dirty frames still being written back, keyed to rec_lsn.
+    /// Fetches must not reload them from disk until the write lands, and
+    /// DirtyPageTable() must report them: a failed write-back re-maps the
+    /// frame dirty, and a checkpoint DPT missing the page would let restart
+    /// redo skip its records between the true recLSN and its next update.
+    std::unordered_map<PageId, Lsn> writing_back;
+    /// Instant restart: pages awaiting first-touch redo, keyed to their
+    /// analysis recLSN; disjoint from `table` (the fetch miss erases the
+    /// entry). DirtyPageTable() reports them so a checkpoint taken while the
+    /// debt drains keeps their recLSNs, making a crash during instant
+    /// restart recoverable.
+    std::unordered_map<PageId, Lsn> pending_redo;
   };
   static constexpr size_t kShards = 64;
   Shard& ShardFor(PageId id) {
@@ -237,10 +256,10 @@ class BufferPool {
   }
   /// Pins and returns the frame mapped to `id`, or nullptr. Holds sh.mu.
   static Frame* PinLocked(Shard& sh, PageId id);
-  /// CLOCK sweep for an unpinned frame; unmaps it from its shard. Holds mu_.
-  Frame* ClaimVictimLocked();
-  /// Maps `f` (already holding f->page_id) into its shard. Holds mu_.
-  void MapLocked(Frame* f);
+  /// Takes a free frame, or CLOCK-sweeps for an unpinned one and unmaps it
+  /// from its shard (moving a dirty one into that shard's `writing_back`).
+  /// The frame comes back pinned once; nullptr if every frame is pinned.
+  Frame* ClaimFrame();
 
   /// Returns the frame holding `id`, pinned. Caller latches afterwards.
   Result<Frame*> FetchFrame(PageId id);
@@ -260,29 +279,10 @@ class BufferPool {
   bool verify_checksums_;
 
   std::array<Shard, kShards> shards_;
-  /// Guards misses, frame (re)mapping, dirty/recLSN state and the sets
-  /// below; hits and unpins never take it.
-  std::mutex mu_;
-  std::condition_variable io_cv_;
   std::vector<std::unique_ptr<Frame>> frames_;
-  size_t clock_hand_ = 0;
-  std::unordered_set<PageId> io_in_progress_;
+  std::atomic<size_t> clock_hand_{0};
   PageContention latch_contention_;
-  /// Pages whose evicted dirty frame is still being written back, keyed to
-  /// the frame's rec_lsn. Readers must not reload them from disk until the
-  /// write completes, and DirtyPageTable() must still report them: the
-  /// write-back can fail (WAL-rule flush error, device fault), leaving the
-  /// re-inserted frame dirty — a fuzzy checkpoint taken during the window
-  /// would otherwise record a DPT missing the page, and restart redo would
-  /// skip every log record between its true recLSN and its next update.
-  std::unordered_map<PageId, Lsn> writing_back_;
-  /// Instant restart: pages scheduled for first-touch redo, keyed to their
-  /// analysis recLSN. Invariant: disjoint from the page table — the only path
-  /// to residency (the fetch miss) erases the entry. DirtyPageTable() must
-  /// report these pages so a checkpoint taken while the debt is draining
-  /// keeps their recLSNs — that is what makes a crash *during* instant
-  /// restart recoverable.
-  std::unordered_map<PageId, Lsn> pending_redo_;
+  std::mutex free_mu_;  // guards free_frames_ only
   std::vector<Frame*> free_frames_;
   bool paranoid_ = false;
   std::mutex paranoid_mu_;

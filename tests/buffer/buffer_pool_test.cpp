@@ -106,6 +106,12 @@ TEST_F(BufferPoolTest, PoolExhaustionReturnsBusy) {
   ASSERT_TRUE(b.ok());
   auto c = pool->FetchPage(3, LatchMode::kShared);
   EXPECT_TRUE(c.status().IsBusy());
+  // The failed miss must not leave page 3 quarantined as loading: once a
+  // frame frees up, the same fetch claims it instead of waiting forever.
+  a.value().Release();
+  auto d = pool->FetchPage(3, LatchMode::kShared);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  EXPECT_EQ(d.value().page_id(), 3u);
 }
 
 TEST_F(BufferPoolTest, DirtyPageTableTracksRecLsn) {

@@ -10,9 +10,15 @@
 // through a pool a quarter of the working set: hits on the sharded page
 // table race CLOCK evictions, and a frame remapped while pinned shows up as
 // a guard returning another page's id or bytes.
+// DirtyPageTableTest runs four X writers through an 8-frame pool while a
+// fifth thread loops DirtyPageTable(): a page missing from a snapshot must
+// already be on disk at least as new as its last update completed before
+// the snapshot, or a fuzzy checkpoint taken then would let restart redo
+// skip that update.
 // Seed list overridable via ARIESIM_STRESS_SEEDS ("7", "1,2,9", "1-32").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -200,6 +206,92 @@ TEST_P(PoolIdentityTest, EveryGuardHoldsTheRequestedPage) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PoolIdentityTest,
+                         ::testing::ValuesIn(StressSeeds(3)));
+
+class DirtyPageTableTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DirtyPageTableTest, PagesAbsentFromASnapshotAreOnDisk) {
+  constexpr int kWriters = 4;
+  constexpr int kDptPages = 32;
+  constexpr int kWrites = 20000;
+  const uint64_t seed = GetParam();
+  TempDir dir("bp_dpt");
+  Metrics m;
+  DiskManager disk(dir.path() + "/data.db", 512, &m);
+  ASSERT_OK(disk.Open());
+  DiskManager reader(dir.path() + "/data.db", 512, nullptr);
+  ASSERT_OK(reader.Open());
+  LogManager log(dir.path() + "/wal", &m, false);
+  ASSERT_OK(log.Open());
+  BufferPool pool(&disk, &log, kFrames, &m, /*verify_checksums=*/true);
+  for (PageId p = 0; p < kDptPages; ++p) {
+    auto g = pool.FetchPage(p, LatchMode::kExclusive);
+    ASSERT_TRUE(g.ok());
+    g.value().view().Init(p, PageType::kHeap, 1, 0);
+    g.value().MarkDirty(1);
+  }
+  ASSERT_OK(pool.FlushAll());
+
+  // done[p]: the newest page_LSN of page p whose guard has been released.
+  std::vector<std::atomic<Lsn>> done(kDptPages);
+  for (auto& d : done) d.store(1);
+  std::atomic<Lsn> next_lsn{2};
+  std::atomic<int> writers_left{kWriters};
+  auto writer = [&](int t) {
+    Random rnd(seed * 104729 + static_cast<uint64_t>(t));
+    for (int i = 0; i < kWrites; ++i) {
+      const PageId p = static_cast<PageId>(rnd.Uniform(kDptPages));
+      Lsn lsn;
+      {
+        auto g = pool.FetchPage(p, LatchMode::kExclusive);
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        lsn = next_lsn.fetch_add(1);
+        g.value().MarkDirty(lsn);
+      }
+      Lsn prev = done[p].load();
+      while (prev < lsn && !done[p].compare_exchange_weak(prev, lsn)) {
+      }
+    }
+    writers_left.fetch_sub(1);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) threads.emplace_back(writer, t);
+
+  // Disk images only get newer, so a page is re-read only when its floor
+  // passed the newest image seen; the loop stays mostly snapshots.
+  std::vector<Lsn> on_disk(kDptPages, 1);
+  uint64_t snapshots = 0, absent_checked = 0;
+  std::vector<char> buf(512);
+  auto disk_lsn = [&](PageId p) {
+    EXPECT_OK(reader.ReadPage(p, buf.data()));
+    on_disk[p] = std::max(on_disk[p], PageView(buf.data(), 512).page_lsn());
+    return on_disk[p];
+  };
+  std::vector<Lsn> floor(kDptPages);
+  std::vector<bool> listed(kDptPages);
+  while (writers_left.load() > 0 && !::testing::Test::HasFailure()) {
+    for (PageId p = 0; p < kDptPages; ++p) floor[p] = done[p].load();
+    listed.assign(kDptPages, false);
+    for (auto& [id, rec_lsn] : pool.DirtyPageTable()) listed[id] = true;
+    ++snapshots;
+    for (PageId p = 0; p < kDptPages; ++p) {
+      if (listed[p] || on_disk[p] >= floor[p]) continue;
+      ++absent_checked;
+      // A second read rules out a torn pread racing a write-back.
+      if (disk_lsn(p) < floor[p] && disk_lsn(p) < floor[p]) {
+        ADD_FAILURE() << "page " << p << " missing from the DPT but its disk "
+                      << "image is older than completed update " << floor[p];
+      }
+    }
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_GT(absent_checked, 0u) << "no page left the DPT after an update";
+  EXPECT_GT(m.pages_written.load(), static_cast<uint64_t>(kDptPages))
+      << "no eviction write-backs";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DirtyPageTableTest,
                          ::testing::ValuesIn(StressSeeds(3)));
 
 }  // namespace

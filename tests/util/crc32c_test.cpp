@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace ariesim {
 namespace {
@@ -30,13 +33,48 @@ TEST(Crc32cTest, MaskRoundTrip) {
 }
 
 TEST(Crc32cTest, ExtendViaInit) {
-  // CRC of concatenation differs from naive chaining; just pin behavior:
-  // Value with init continues the polynomial division deterministically.
+  // Chaining through `init` continues the same polynomial division, so the
+  // crc of "ab" extended by "cd" is the crc of "abcd".
   uint32_t a = crc32c::Value("ab", 2);
-  uint32_t b1 = crc32c::Value("cd", 2, a);
-  uint32_t b2 = crc32c::Value("cd", 2, a);
-  EXPECT_EQ(b1, b2);
-  EXPECT_NE(b1, crc32c::Value("cd", 2));
+  EXPECT_EQ(crc32c::Value("cd", 2, a), crc32c::Value("abcd", 4));
+  EXPECT_NE(crc32c::Value("cd", 2, a), crc32c::Value("cd", 2));
+}
+
+// On a CPU with SSE4.2, Value() is the hardware path; elsewhere both calls
+// run the table loop.
+TEST(Crc32cTest, HardwareMatchesTableOnRandomLengthsAndOffsets) {
+  std::mt19937_64 rng(42);
+  std::vector<char> buf(8192 + 8);
+  for (char& c : buf) c = static_cast<char>(rng());
+  for (int iter = 0; iter < 2000; ++iter) {
+    const size_t off = rng() % 8;
+    const size_t len = rng() % 8193;
+    const uint32_t init = (iter % 2 == 0) ? 0 : static_cast<uint32_t>(rng());
+    ASSERT_EQ(crc32c::Value(buf.data() + off, len, init),
+              crc32c::TableValue(buf.data() + off, len, init))
+        << "offset " << off << " length " << len << " init " << init;
+  }
+}
+
+TEST(Crc32cTest, ChainedSplitsMatchWholeBuffer) {
+  std::mt19937_64 rng(7);
+  std::vector<char> buf(8192);
+  for (char& c : buf) c = static_cast<char>(rng());
+  const uint32_t whole = crc32c::Value(buf.data(), buf.size());
+  EXPECT_EQ(whole, crc32c::TableValue(buf.data(), buf.size()));
+  for (int iter = 0; iter < 200; ++iter) {
+    std::vector<size_t> cuts = {0, buf.size()};
+    for (int k = rng() % 6; k > 0; --k) cuts.push_back(rng() % buf.size());
+    std::sort(cuts.begin(), cuts.end());
+    uint32_t hw = 0, table = 0;
+    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const size_t n = cuts[i + 1] - cuts[i];
+      hw = crc32c::Value(buf.data() + cuts[i], n, hw);
+      table = crc32c::TableValue(buf.data() + cuts[i], n, table);
+    }
+    ASSERT_EQ(hw, whole) << "iteration " << iter;
+    ASSERT_EQ(table, whole) << "iteration " << iter;
+  }
 }
 
 }  // namespace

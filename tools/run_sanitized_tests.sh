@@ -25,11 +25,14 @@
 # across enable flips) — the TSan leg is what certifies them
 # data-race-free (see docs/OBSERVABILITY.md). It also certifies the sharded
 # tables that keep a point read off every global mutex: the buffer pool's
-# page table (atomic pins, CLOCK eviction; pool_hammer_test), the lock
-# table (deadlock detection and Snapshot() across shards;
-# lock_forensics_test, lock_manager_test) and the transaction table
-# (checkpoint snapshots against concurrent appends; checkpoint_test) — see
-# docs/CONCURRENCY.md, "Lock order and sharding".
+# page table (atomic pins, CLOCK eviction) and its sharded miss and
+# write-back path (loading markers, victim claims and write-backs, each in
+# the page's own shard with no pool-wide mutex; pool_hammer_test, including
+# DirtyPageTable() snapshots racing evictions), the lock table (deadlock
+# detection and Snapshot() across shards; lock_forensics_test,
+# lock_manager_test) and the transaction table (checkpoint snapshots
+# against concurrent appends; checkpoint_test) — see docs/CONCURRENCY.md,
+# "Lock order and sharding".
 # Stress-test seed lists can be narrowed for quicker sanitized runs:
 #   ARIESIM_STRESS_SEEDS=1-4 tools/run_sanitized_tests.sh thread
 set -euo pipefail
