@@ -14,7 +14,7 @@ namespace ariesim {
 namespace {
 constexpr int kMaxRestarts = 10000;
 
-// Attempt count past which an optimistic restart loop starts backing off.
+// Attempt count past which a restart loop starts backing off.
 constexpr int kBackoffAfterAttempts = 8;
 
 /// Bounded randomized backoff between traversal restarts.
@@ -42,38 +42,12 @@ void RestartBackoff(int attempt, Metrics* metrics) {
   if (metrics != nullptr) {
     metrics->btree_backoffs.fetch_add(1, std::memory_order_relaxed);
   }
-  // The backoff sleep is OLC-restart wait from the transaction's point of
+  // The backoff sleep is restart wait from the transaction's point of
   // view: charge it to the latch_wait commit-breakdown segment.
   ScopedCommitSegment seg(CommitSegment::latch_wait);
   std::this_thread::sleep_for(std::chrono::microseconds(1 + rng % cap_us));
 }
 
-// Optimistic descent: failed version validations tolerated before giving up
-// and falling back to the pessimistic latch-coupled path. Every restart past
-// the first rides RestartBackoff's randomized 4us-doubling sleep (arming it
-// immediately: an OLC restart means a writer is actively rewriting the
-// path). Keep in sync with the decision table in docs/CONCURRENCY.md.
-constexpr int kOlcMaxRestarts = 8;
-
-// Per-thread snapshot buffers for the optimistic descent: one for the node
-// being examined, one for its child mid-coupling. Sized to the largest page
-// size seen by this thread (databases with different page sizes can coexist
-// in one process; tests do exactly that).
-struct OlcScratch {
-  size_t capacity = 0;
-  std::unique_ptr<char[]> a;
-  std::unique_ptr<char[]> b;
-};
-
-OlcScratch& TlsOlcScratch(size_t page_size) {
-  static thread_local OlcScratch s;
-  if (s.capacity < page_size) {
-    s.a = std::make_unique<char[]>(page_size);
-    s.b = std::make_unique<char[]>(page_size);
-    s.capacity = page_size;
-  }
-  return s;
-}
 }  // namespace
 
 Result<PageId> BTree::CreateRoot(EngineContext* ctx, Transaction* txn,
@@ -268,129 +242,11 @@ Status BTree::TraverseToLeaf(std::string_view value, Rid rid, bool for_modify,
 Status BTree::TraverseToLeafRead(std::string_view value, Rid rid,
                                  PageGuard* leaf) {
   const uint64_t start_ns = MonotonicNowNs();
-  if (ctx_->options.optimistic_reads &&
-      !ctx_->options.block_traversal_during_smo) {
-    Status s = TraverseToLeafOptimistic(value, rid, leaf);
-    if (!s.IsBusy()) {
-      if (ctx_->metrics != nullptr) {
-        if (s.ok()) {
-          ctx_->metrics->olc_descents.fetch_add(1, std::memory_order_relaxed);
-        }
-        ctx_->metrics->read_descent_latency.Record(MonotonicNowNs() -
-                                                   start_ns);
-      }
-      return s;
-    }
-    // kBusy is the optimistic path's "I cannot decide without latching":
-    // an SM_Bit sighting or an exhausted restart budget. The pessimistic
-    // descent knows how to wait SMOs out and to clear stale bits.
-    if (ctx_->metrics != nullptr) {
-      ctx_->metrics->olc_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    }
-    ARIES_TRACE_INSTANT("bt.olc_fallback", TraceCat::kBtree, index_id_);
-  }
   Status s = TraverseToLeaf(value, rid, /*for_modify=*/false, leaf);
   if (ctx_->metrics != nullptr) {
     ctx_->metrics->read_descent_latency.Record(MonotonicNowNs() - start_ns);
   }
   return s;
-}
-
-Status BTree::TraverseToLeafOptimistic(std::string_view value, Rid rid,
-                                       PageGuard* leaf) {
-  ARIES_TRACE_SPAN(span, "bt.olc_traverse", TraceCat::kBtree, index_id_);
-  const size_t page_size = ctx_->pool->page_size();
-  OlcScratch& scratch = TlsOlcScratch(page_size);
-  char* node_buf = scratch.a.get();
-  char* child_buf = scratch.b.get();
-  for (int attempt = 0; attempt <= kOlcMaxRestarts; ++attempt) {
-    if (attempt > 0) {
-      if (ctx_->metrics != nullptr) {
-        ctx_->metrics->olc_restarts.fetch_add(1, std::memory_order_relaxed);
-      }
-      RestartBackoff(kBackoffAfterAttempts + attempt - 1, ctx_->metrics);
-    }
-    ARIES_ASSIGN_OR_RETURN(OptimisticPageGuard node,
-                           ctx_->pool->FetchPageOptimistic(root_));
-    uint64_t node_ver = 0;
-    if (!node.TrySnapshot(node_buf, &node_ver)) continue;
-    bool give_up = false;
-    while (true) {
-      // Everything below parses the validated snapshot, never live bytes.
-      PageView v(node_buf, page_size);
-      if (v.owner_id() != index_id_ ||
-          (v.type() != PageType::kBtreeLeaf &&
-           v.type() != PageType::kBtreeInternal)) {
-        break;  // mid-SMO state (freed/reused page): restart
-      }
-      if (v.type() == PageType::kBtreeLeaf) {
-        // The root is (still) a leaf. Land with the real S latch downstream
-        // code expects and re-run the checks on the live, latched page.
-        PageId id = node.page_id();
-        node.Release();
-        ARIES_ASSIGN_OR_RETURN(PageGuard lg,
-                               ctx_->pool->FetchPage(id, LatchMode::kShared));
-        PageView lv = lg.view();
-        if (lv.owner_id() != index_id_ ||
-            lv.type() != PageType::kBtreeLeaf) {
-          break;  // grew into an internal node meanwhile: restart
-        }
-        *leaf = std::move(lg);
-        return Status::OK();
-      }
-      // Internal node. An SM_Bit here means an SMO touching this page is in
-      // flight — or its unlogged reset was lost. The pessimistic path can
-      // disambiguate under the page X latch (and clear a stale bit); the
-      // optimistic one cannot, so it always hands over.
-      if (v.sm_bit()) {
-        give_up = true;
-        break;
-      }
-      if (v.slot_count() == 0) break;  // mid-SMO: restart
-      uint16_t ci = bt::InternalChildIndex(v, value, rid);
-      if (ci >= v.slot_count()) break;  // key beyond highest: restart
-      bt::InternalEntry e = bt::DecodeInternalCell(v.Cell(ci));
-      uint8_t expected_level = static_cast<uint8_t>(v.level() - 1);
-      if (expected_level == 0) {
-        // Leaf level: blocking S latch, exactly like the pessimistic path.
-        ARIES_ASSIGN_OR_RETURN(
-            PageGuard lg, ctx_->pool->FetchPage(e.child, LatchMode::kShared));
-        // OLC coupling: the parent must not have changed between the
-        // snapshot the child pointer came from and the child latch being
-        // held — the parent pin (still held) keeps its version meaningful.
-        // With it unchanged, the parent's routing entry covered (value,
-        // rid) at an instant inside the latch hold, the same guarantee
-        // latch coupling gives; keys that moved right afterwards are caught
-        // by SearchForward's chain walk, as ever.
-        if (!node.Validate(node_ver)) break;
-        node.Release();
-        PageView lv = lg.view();
-        if (lv.owner_id() != index_id_ || lv.level() != 0 ||
-            lv.type() != PageType::kBtreeLeaf) {
-          break;  // deleted/reused under us: restart
-        }
-        *leaf = std::move(lg);
-        return Status::OK();
-      }
-      // Internal child: snapshot it, then validate the parent before
-      // trusting that the pointer we followed was current.
-      ARIES_ASSIGN_OR_RETURN(OptimisticPageGuard child,
-                             ctx_->pool->FetchPageOptimistic(e.child));
-      uint64_t child_ver = 0;
-      if (!child.TrySnapshot(child_buf, &child_ver)) break;
-      if (!node.Validate(node_ver)) break;
-      PageView cv(child_buf, page_size);
-      if (cv.owner_id() != index_id_ || cv.level() != expected_level ||
-          cv.type() != PageType::kBtreeInternal) {
-        break;  // split/deleted between snapshot and validate: restart
-      }
-      node = std::move(child);
-      node_ver = child_ver;
-      std::swap(node_buf, child_buf);
-    }
-    if (give_up) return Status::Busy("olc: SM_Bit sighted mid-descent");
-  }
-  return Status::Busy("olc: restart budget exhausted");
 }
 
 Status BTree::TraversePath(std::string_view value, Rid rid,

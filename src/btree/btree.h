@@ -150,21 +150,9 @@ class BTree {
   // inconsistencies are errors rather than wait-and-retry.
   Status TraverseToLeaf(std::string_view value, Rid rid, bool for_modify,
                         PageGuard* leaf, bool tree_latch_held = false);
-  /// Read-path traversal chooser: optimistic lock coupling when
-  /// options.optimistic_reads is set (and the block_traversal_during_smo
-  /// ablation is not), with a counted fallback to the pessimistic
-  /// TraverseToLeaf(for_modify=false) when the optimistic descent reports
-  /// kBusy. Either way `*leaf` holds the S-latched leaf covering
-  /// (value, rid), indistinguishable to downstream code.
+  /// The read-path descent: TraverseToLeaf(for_modify=false), timed into
+  /// read_descent_latency.
   Status TraverseToLeafRead(std::string_view value, Rid rid, PageGuard* leaf);
-  /// Optimistic descent (docs/CONCURRENCY.md, "Optimistic descent"):
-  /// internal levels are read latch-free from version-validated snapshots;
-  /// the leaf is S-latched classically and revalidated against its parent's
-  /// version. kBusy asks the caller to fall back: an SM_Bit was sighted, or
-  /// kOlcMaxRestarts validations failed. Never waits on a page latch except
-  /// the final leaf S latch.
-  Status TraverseToLeafOptimistic(std::string_view value, Rid rid,
-                                  PageGuard* leaf);
   /// Wait out an in-progress SMO: release nothing (caller already did),
   /// instant-S the tree latch.
   void WaitForSmo();

@@ -5,9 +5,9 @@
 // unchanged since the last positioning, advances in place; otherwise it
 // repositions with a fresh traversal (the current key may have been deleted
 // by this very transaction, or the leaf may have split). Repositioning goes
-// through TraverseToLeafRead, i.e. the optimistic latch-free descent when
-// enabled (docs/CONCURRENCY.md). The located next key is locked S for
-// commit duration before the stopping condition is evaluated.
+// through TraverseToLeafRead, the latch-coupled read descent. The located
+// next key is locked S for commit duration before the stopping condition is
+// evaluated.
 #include "btree/btree.h"
 #include "btree/search_internal.h"
 

@@ -9,10 +9,8 @@
 //  - ARIES/KVL-style key-value locking: lock (index, key-value) names —
 //    coarser on nonunique indexes and more locks per operation (paper §1).
 //
-// These protocols are descent-agnostic: the optimistic read path
-// (docs/CONCURRENCY.md) delivers the leaf under the same S latch as the
-// pessimistic one, so every lock request below runs identically — OLC
-// changes how the descent reaches the leaf, never what gets locked.
+// Every lock request below is made with the leaf S- or X-latched by the
+// latch-coupled descent (docs/CONCURRENCY.md, "Latch coupling").
 #pragma once
 
 #include <memory>

@@ -1,12 +1,6 @@
 // Internal shared helper between btree.cpp and cursor.cpp: forward search
 // for the first key >= / > a composite key, following the leaf chain while
 // holding at most the operation leaf plus one chain page.
-//
-// The chain walk is also load-bearing for the optimistic read descent
-// (docs/CONCURRENCY.md): an OLC traversal lands on a leaf that was correct
-// at its parent-validation instant, and any keys a concurrent split moved
-// right since then are reached here, through the latched sibling chain —
-// the same guarantee the pessimistic latch-coupled descent gets.
 #pragma once
 
 #include "buffer/buffer_pool.h"

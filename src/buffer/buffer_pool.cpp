@@ -1,66 +1,13 @@
 #include "buffer/buffer_pool.h"
 
 #include <atomic>
-#include <cstring>
 
 #include "common/clock.h"
 #include "common/commit_breakdown.h"
 #include "common/trace.h"
 #include "util/crc32c.h"
 
-// ThreadSanitizer detection: the optimistic snapshot copy below races with
-// in-place page writes *by protocol* (the seqlock validation discards torn
-// copies before anything parses them), so under TSan the copy is excluded
-// from instrumentation and bracketed with ignore-reads annotations. See
-// docs/CONCURRENCY.md, "Memory model and TSan".
-#if defined(__SANITIZE_THREAD__)
-#define ARIESIM_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ARIESIM_TSAN 1
-#endif
-#endif
-#ifndef ARIESIM_TSAN
-#define ARIESIM_TSAN 0
-#endif
-
-#if ARIESIM_TSAN
-extern "C" void AnnotateIgnoreReadsBegin(const char* file, int line);
-extern "C" void AnnotateIgnoreReadsEnd(const char* file, int line);
-#endif
-
 namespace ariesim {
-
-namespace {
-
-/// The latch-free page copy. Intentionally races with the X holder's plain
-/// writes; the surrounding version checks reject any copy a writer
-/// overlapped, so torn bytes are never parsed. The fast (non-TSan) build
-/// uses __builtin_memcpy — it vectorizes, and a 4 KiB copy is ~4x cheaper
-/// than a word-wise atomic loop, which is the difference between the
-/// optimistic descent beating the mutex path and losing to it. Under TSan
-/// the loop switches to relaxed single-copy-atomic 8-byte loads (page
-/// buffers are new[]-allocated, 16-byte aligned, page_size a power of two
-/// >= 256, so the stride is exact) and the function is excluded from
-/// instrumentation (not libc memcpy, whose interceptor would still
-/// report); noinline so the attribute is not lost by inlining into an
-/// instrumented caller.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((no_sanitize("thread"), noinline))
-#endif
-void RacyCopyPage(char* dst, const char* src, size_t n) {
-#if ARIESIM_TSAN
-  const uint64_t* s = reinterpret_cast<const uint64_t*>(src);
-  uint64_t* d = reinterpret_cast<uint64_t*>(dst);
-  for (size_t i = 0; i < n / sizeof(uint64_t); ++i) {
-    d[i] = __atomic_load_n(s + i, __ATOMIC_RELAXED);
-  }
-#else
-  __builtin_memcpy(dst, src, n);
-#endif
-}
-
-}  // namespace
 
 PageGuard& PageGuard::operator=(PageGuard&& o) noexcept {
   if (this != &o) {
@@ -336,33 +283,6 @@ Result<PageGuard> BufferPool::FetchPage(PageId id, LatchMode mode) {
     metrics_->page_latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
   }
   return PageGuard(this, f, mode);
-}
-
-Result<OptimisticPageGuard> BufferPool::FetchPageOptimistic(PageId id) {
-  ARIES_ASSIGN_OR_RETURN(Frame * f, FetchFrame(id));
-  return OptimisticPageGuard(this, f);
-}
-
-bool OptimisticPageGuard::TrySnapshot(char* dst, uint64_t* version_out) const {
-  uint64_t v;
-  if (!frame_->latch.ReadVersion(&v)) return false;  // an X holder is active
-#if ARIESIM_TSAN
-  AnnotateIgnoreReadsBegin(__FILE__, __LINE__);
-#endif
-  RacyCopyPage(dst, frame_->data.get(), pool_->page_size_);
-#if ARIESIM_TSAN
-  AnnotateIgnoreReadsEnd(__FILE__, __LINE__);
-#endif
-  if (!frame_->latch.Validate(v)) return false;
-  *version_out = v;
-  return true;
-}
-
-void OptimisticPageGuard::Release() {
-  if (frame_ != nullptr) {
-    pool_->Unpin(frame_);
-    frame_ = nullptr;
-  }
 }
 
 void BufferPool::Unpin(Frame* frame) {

@@ -41,8 +41,6 @@ struct Frame {
   std::atomic<bool> referenced{false};  ///< CLOCK reference bit
   bool dirty = false;      // guarded by the shard of the frame's page
   Lsn rec_lsn = kNullLsn;  ///< LSN that first dirtied the page (for the DPT)
-  /// The page latch; its version is the optimistic readers' seqlock. Guards
-  /// hold a pin, so a version never aliases across pages.
   alignas(64) RwLatch latch;  // off the pin counter's cache line
 };
 
@@ -77,56 +75,6 @@ class PageGuard {
   LatchMode mode_ = LatchMode::kShared;
 };
 
-/// Pin-only guard for the optimistic (latch-free) read path. Holds no
-/// latch: the holder may only look at the page through TrySnapshot(), which
-/// copies the bytes and tells whether the copy is consistent, and Validate(),
-/// which re-checks a previously returned version. The pin keeps the
-/// frame↔page binding (and so the latch version's meaning) stable.
-/// Move-only.
-class OptimisticPageGuard {
- public:
-  OptimisticPageGuard() = default;
-  OptimisticPageGuard(BufferPool* pool, Frame* frame)
-      : pool_(pool), frame_(frame) {}
-  ~OptimisticPageGuard() { Release(); }
-  OptimisticPageGuard(const OptimisticPageGuard&) = delete;
-  OptimisticPageGuard& operator=(const OptimisticPageGuard&) = delete;
-  OptimisticPageGuard(OptimisticPageGuard&& o) noexcept {
-    *this = std::move(o);
-  }
-  OptimisticPageGuard& operator=(OptimisticPageGuard&& o) noexcept {
-    if (this != &o) {
-      Release();
-      pool_ = o.pool_;
-      frame_ = o.frame_;
-      o.frame_ = nullptr;
-    }
-    return *this;
-  }
-
-  /// Stable while the pin is held (remaps happen only at pin_count == 0).
-  PageId page_id() const { return frame_->page_id; }
-
-  /// Copy the page into `dst` (page_size() bytes) without latching. Returns
-  /// true iff the copy is consistent — no X holder was active at its start
-  /// and none came during it — and stores the latch version in *version_out
-  /// for later Validate() calls. On false the contents of `dst` are
-  /// unspecified and must not be parsed.
-  bool TrySnapshot(char* dst, uint64_t* version_out) const;
-
-  /// True iff no X latch has been acquired on the frame since the snapshot
-  /// that returned `version`.
-  bool Validate(uint64_t version) const {
-    return frame_->latch.Validate(version);
-  }
-
-  void Release();
-
- private:
-  BufferPool* pool_ = nullptr;
-  Frame* frame_ = nullptr;
-};
-
 class BufferPool {
  public:
   BufferPool(DiskManager* disk, LogManager* log, size_t frames,
@@ -139,9 +87,6 @@ class BufferPool {
 
   /// Pin + latch page `id`, reading it from disk on a miss.
   Result<PageGuard> FetchPage(PageId id, LatchMode mode);
-  /// Pin for the optimistic read path: no latch, access only through the
-  /// guard's snapshot/validate protocol (docs/CONCURRENCY.md).
-  Result<OptimisticPageGuard> FetchPageOptimistic(PageId id);
 
   /// Write one page out (forcing the log first). Used by checkpoints and by
   /// tests that simulate a steal of a specific page.
@@ -225,7 +170,6 @@ class BufferPool {
 
  private:
   friend class PageGuard;
-  friend class OptimisticPageGuard;
 
   /// One slice of the pool. Every piece of a page's state lives in the
   /// shard its id hashes to, and no code path holds two shards at once, so

@@ -1,10 +1,10 @@
 // Per-transaction commit critical-path attribution (PR 9).
 //
 // A commit's latency is the sum of a handful of mechanically distinct waits:
-// lock acquisition, latch/OLC-restart backoff, the commit-record log append,
-// the time spent queued behind the group-commit batch, the batch's write and
-// fsync, and finally the wakeup handoff back to the waiter. ROADMAP item 1
-// (parallel WAL) needs those segments separated — "fsync-bound" vs
+// lock acquisition, latch waits and restart backoff, the commit-record log
+// append, the time spent queued behind the group-commit batch, the batch's
+// write and fsync, and finally the wakeup handoff back to the waiter. ROADMAP
+// item 1 (parallel WAL) needs those segments separated — "fsync-bound" vs
 // "queue-bound" vs "lock-bound" are different engineering problems — so every
 // Transaction carries a CommitBreakdown accumulator and the wait sites in
 // src/lock/, src/buffer/, src/btree/ and src/wal/ add their nanoseconds to
@@ -42,7 +42,7 @@ namespace ariesim {
 // commit_breakdown_test.cpp verifies the two stay in lockstep.
 #define ARIESIM_COMMIT_SEGMENTS(X) \
   X(lock_wait)   /* blocked LockManager::Lock waits */                    \
-  X(latch_wait)  /* contended page/tree latches + OLC restart backoff */  \
+  X(latch_wait)  /* contended page/tree latches + restart backoff */      \
   X(log_append)  /* serializing commit+end records into the WAL buffer */ \
   X(queue_wait)  /* enqueue -> the durable batch's write started */       \
   X(batch_write) /* the durable batch's pwrite of the WAL tail */         \

@@ -58,14 +58,6 @@ struct Options {
   /// operation), modeling protocols where SMOs block concurrent traversals.
   bool block_traversal_during_smo = false;
 
-  /// Optimistic lock coupling on the B-tree read path: Fetch/FetchNext
-  /// descend latch-free, validating per-frame versions instead of holding
-  /// shared page latches, and fall back to the classic latch-coupled
-  /// descent on an SM_Bit sighting or after kOlcMaxRestarts failed
-  /// validations (decision table in docs/CONCURRENCY.md). Ignored — the
-  /// pessimistic path is used — while block_traversal_during_smo is set.
-  bool optimistic_reads = true;
-
   /// Run restart recovery on open when a log exists (normally true; tests
   /// may disable it to inspect the raw crashed state).
   bool recover_on_open = true;

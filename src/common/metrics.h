@@ -54,10 +54,11 @@ struct MetricsSnapshot;
   X(smo_page_deletes)                                                       \
   X(traversal_restarts)                                                     \
   X(smo_waits) /* traversals that waited out an SMO */                      \
-  /* Optimistic read path (docs/CONCURRENCY.md "Optimistic descent") */     \
-  X(olc_descents)  /* read descents completed latch-free */                 \
-  X(olc_restarts)  /* version-validation failures that re-descended */      \
-  X(olc_fallbacks) /* descents that fell back to latch coupling */          \
+  /* Retired optimistic read path: always 0, kept for perfbench's       \
+     btree.olc_* metrics until the benchmark drops them. */                 \
+  X(olc_descents)                                                           \
+  X(olc_restarts)                                                           \
+  X(olc_fallbacks)                                                          \
   /* Undo paths (paper §3 "Undo Processing") */                             \
   X(page_oriented_undos)                                                    \
   X(logical_undos)                                                          \
@@ -92,7 +93,7 @@ struct MetricsSnapshot;
   X(lazy_replay_latency) /* one first-touch page redo (instant restart) */\
   X(deadlock_victim_wait)  /* victim's wait age when the cycle was cut */ \
   X(tree_latch_hold_latency) /* tree-latch X hold time (SMO serializer) */\
-  X(read_descent_latency)  /* one read-path root->leaf descent (any mode) */\
+  X(read_descent_latency)  /* one read-path root->leaf descent */          \
   X(smo_latency)           /* one complete SMO: split or page delete */    \
   /* Flight recorder (PR 10): one black-box snapshot, build + atomic     \
      write + rename. */                                                   \

@@ -73,6 +73,10 @@ class Database {
   Database& operator=(const Database&) = delete;
 
   // -- transactions --------------------------------------------------------
+  /// The returned transaction is owned by the engine. Once Commit,
+  /// CommitAsync or Rollback returns OK it is freed and the pointer must
+  /// not be used again (read id() before ending it). After an error it
+  /// stays valid, so the caller can still roll it back.
   Transaction* Begin();
   Status Commit(Transaction* txn);
   /// Lazy commit: locks are released before the commit record is durable;

@@ -67,58 +67,62 @@ Status TransactionManager::CommitImpl(Transaction* txn, bool lazy) {
                                           : nullptr);
   ARIES_TRACE_SPAN(span, lazy ? "txn.commit_async" : "txn.commit",
                    TraceCat::kTxn, txn->id());
-  // Adopt the thread's operation-phase wait accumulation (best-effort: it is
-  // exact for the common one-transaction-per-thread pattern), then rebind
-  // the attribution TLS to the committing transaction so the commit-path
-  // segments land on this breakdown exactly (common/commit_breakdown.h).
-  if (CommitBreakdown* scratch = CurrentCommitBreakdown()) {
-    if (scratch != &txn->breakdown()) {
-      txn->breakdown() = *scratch;
-      scratch->Reset();
-    }
-  }
-  ScopedCommitBreakdownBinding bind(&txn->breakdown());
-  if (txn->last_lsn() != kNullLsn) {
-    LogRecord commit;
-    commit.type = LogType::kCommit;
-    const uint64_t append_start_ns = MonotonicNowNs();
-    Result<Lsn> lsn_res = AppendTxnLog(txn, &commit);
-    AddCommitSegment(CommitSegment::log_append,
-                     MonotonicNowNs() - append_start_ns);
-    ARIES_RETURN_NOT_OK(lsn_res.status());
-    const Lsn end = lsn_res.value() + commit.SerializedSize();
-    if (lazy) {
-      // Enqueue the durability request and release locks without waiting
-      // for the flush. Trades the D of ACID at crash time — a crash before
-      // the next group flush forgets this transaction (atomically, via
-      // restart undo) — for commit latency. Reads-from ordering stays safe:
-      // a later updater that saw our writes has a larger commit LSN, so it
-      // can only be durable if we are; a later read-only one forces up to
-      // lazy_commit_end_, published here before our locks are released.
-      log_->RequestFlush(end);
-      Lsn prev = lazy_commit_end_.load(std::memory_order_relaxed);
-      while (prev < end && !lazy_commit_end_.compare_exchange_weak(
-                               prev, end, std::memory_order_release)) {
+  const TxnId id = txn->id();
+  {
+    // Adopt the thread's operation-phase wait accumulation (best-effort: it is
+    // exact for the common one-transaction-per-thread pattern), then rebind
+    // the attribution TLS to the committing transaction so the commit-path
+    // segments land on this breakdown exactly (common/commit_breakdown.h).
+    if (CommitBreakdown* scratch = CurrentCommitBreakdown()) {
+      if (scratch != &txn->breakdown()) {
+        txn->breakdown() = *scratch;
+        scratch->Reset();
       }
-    } else {
-      // Commit rule: force the log up to and including the commit record.
-      // CommitFlush coalesces with concurrent committers when group commit
-      // is on; a returned error means the commit record is NOT durable and
-      // the transaction must not be acknowledged (locks stay held — after a
-      // crash the transaction either survives whole or is rolled back by
-      // restart).
-      ARIES_RETURN_NOT_OK(log_->CommitFlush(end));
     }
-  } else if (!lazy) {
-    // Read-only: nothing to harden, so commit is lock release — unless a
-    // lazy commit whose writes we may have read is still volatile.
-    Lsn lazy_end = lazy_commit_end_.load(std::memory_order_acquire);
-    if (log_->flushed_lsn() < lazy_end) {
-      ARIES_RETURN_NOT_OK(log_->CommitFlush(lazy_end));
+    ScopedCommitBreakdownBinding bind(&txn->breakdown());
+    if (txn->last_lsn() != kNullLsn) {
+      LogRecord commit;
+      commit.type = LogType::kCommit;
+      const uint64_t append_start_ns = MonotonicNowNs();
+      Result<Lsn> lsn_res = AppendTxnLog(txn, &commit);
+      AddCommitSegment(CommitSegment::log_append,
+                       MonotonicNowNs() - append_start_ns);
+      ARIES_RETURN_NOT_OK(lsn_res.status());
+      const Lsn end = lsn_res.value() + commit.SerializedSize();
+      if (lazy) {
+        // Enqueue the durability request and release locks without waiting
+        // for the flush. Trades the D of ACID at crash time — a crash before
+        // the next group flush forgets this transaction (atomically, via
+        // restart undo) — for commit latency. Reads-from ordering stays safe:
+        // a later updater that saw our writes has a larger commit LSN, so it
+        // can only be durable if we are; a later read-only one forces up to
+        // lazy_commit_end_, published here before our locks are released.
+        log_->RequestFlush(end);
+        Lsn prev = lazy_commit_end_.load(std::memory_order_relaxed);
+        while (prev < end && !lazy_commit_end_.compare_exchange_weak(
+                                 prev, end, std::memory_order_release)) {
+        }
+      } else {
+        // Commit rule: force the log up to and including the commit record.
+        // CommitFlush coalesces with concurrent committers when group commit
+        // is on; a returned error means the commit record is NOT durable and
+        // the transaction must not be acknowledged (locks stay held — after a
+        // crash the transaction either survives whole or is rolled back by
+        // restart).
+        ARIES_RETURN_NOT_OK(log_->CommitFlush(end));
+      }
+    } else if (!lazy) {
+      // Read-only: nothing to harden, so commit is lock release — unless a
+      // lazy commit whose writes we may have read is still volatile.
+      Lsn lazy_end = lazy_commit_end_.load(std::memory_order_acquire);
+      if (log_->flushed_lsn() < lazy_end) {
+        ARIES_RETURN_NOT_OK(log_->CommitFlush(lazy_end));
+      }
     }
-  }
-  ARIES_RETURN_NOT_OK(EndTransaction(txn, TxnState::kCommitted));
-  HarvestBreakdown(txn);
+    ARIES_RETURN_NOT_OK(WriteEndAndRelease(txn, TxnState::kCommitted));
+    HarvestBreakdown(txn);
+  }  // unbinds the breakdown before Forget frees `txn`
+  Forget(id);
   return Status::OK();
 }
 
@@ -144,7 +148,15 @@ void TransactionManager::HarvestBreakdown(const Transaction* txn) {
 #undef ARIESIM_TRACE_SEG
 }
 
-Status TransactionManager::EndTransaction(Transaction* txn, TxnState final_state) {
+Status TransactionManager::EndTransaction(Transaction* txn,
+                                          TxnState final_state) {
+  ARIES_RETURN_NOT_OK(WriteEndAndRelease(txn, final_state));
+  Forget(txn->id());
+  return Status::OK();
+}
+
+Status TransactionManager::WriteEndAndRelease(Transaction* txn,
+                                              TxnState final_state) {
   // Publish the outcome before the end record hits the log: a fuzzy
   // checkpoint snapshotting this entry between the end-record append and
   // Forget() must not see a stale kActive for a resolved transaction.
@@ -161,7 +173,6 @@ Status TransactionManager::EndTransaction(Transaction* txn, TxnState final_state
     ARIES_RETURN_NOT_OK(append_status);
   }
   locks_->ReleaseAll(txn->id());
-  Forget(txn->id());
   return Status::OK();
 }
 
@@ -196,15 +207,9 @@ Transaction* TransactionManager::AdoptRestored(TxnId id, Lsn last_lsn,
 
 void TransactionManager::Forget(TxnId id) {
   Shard& sh = ShardFor(id);
+  decltype(sh.table)::node_type ended;  // freed after the mutex is released
   std::lock_guard<std::mutex> lk(sh.mu);
-  // Keep the object alive: callers may still hold the pointer. Move it to a
-  // graveyard emptied lazily — here simply release ownership into a retained
-  // list so pointers stay valid until shutdown.
-  auto it = sh.table.find(id);
-  if (it != sh.table.end()) {
-    sh.finished.push_back(std::move(it->second));
-    sh.table.erase(it);
-  }
+  ended = sh.table.extract(id);
 }
 
 std::vector<TxnTableEntry> TransactionManager::Snapshot() {

@@ -52,8 +52,7 @@ class TransactionManager {
     return CommitImpl(txn, /*lazy=*/true);
   }
   /// Total rollback, then end; a transaction that logged nothing just
-  /// releases its locks. The transaction object stays valid (state
-  /// kAborted) until released by the caller.
+  /// releases its locks.
   Status Rollback(Transaction* txn);
   /// Partial rollback to a savepoint previously captured via
   /// txn->Savepoint(). Locks acquired since the savepoint are retained (a
@@ -74,21 +73,25 @@ class TransactionManager {
 
   /// Recreate a transaction during restart (analysis pass).
   Transaction* AdoptRestored(TxnId id, Lsn last_lsn, Lsn undo_next_lsn);
-  /// Remove an ended transaction from the table.
+  /// Remove an ended transaction from the table and free it.
   void Forget(TxnId id);
 
   std::vector<TxnTableEntry> Snapshot();
   Transaction* Find(TxnId id);
 
-  /// End-of-rollback / restart-undo bookkeeping: write the end record and
-  /// release all locks.
+  /// End-of-rollback / restart-undo bookkeeping: write the end record,
+  /// release all locks and Forget the transaction. On OK `txn` is freed.
   Status EndTransaction(Transaction* txn, TxnState final_state);
 
   LockManager* locks() { return locks_; }
   LogManager* log() { return log_; }
 
  private:
+  /// Commit/CommitAsync. On OK `txn` is freed.
   Status CommitImpl(Transaction* txn, bool lazy);
+  /// Publish `final_state`, write the end record if the transaction logged
+  /// anything, and release its locks. `txn` stays in the table.
+  Status WriteEndAndRelease(Transaction* txn, TxnState final_state);
   /// Record the transaction's CommitBreakdown into the commit_seg_*
   /// histograms and emit the per-segment trace instants (PR 9). Called after
   /// a successful Commit/CommitAsync; zero segments are recorded too so
@@ -109,7 +112,6 @@ class TransactionManager {
   struct alignas(64) Shard {
     std::mutex mu;
     std::unordered_map<TxnId, std::unique_ptr<Transaction>> table;
-    std::vector<std::unique_ptr<Transaction>> finished;  // keeps pointers valid
   };
   static constexpr size_t kShards = 16;
   Shard& ShardFor(TxnId id) { return shards_[id % kShards]; }

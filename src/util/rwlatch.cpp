@@ -7,7 +7,7 @@ namespace ariesim {
 /// fsync behind it) is waited out asleep.
 static constexpr int kSpinLimit = 128;
 
-bool RwLatch::TryAcquire(uint64_t blocked_by, uint64_t add, uint64_t* w) {
+bool RwLatch::TryAcquire(uint32_t blocked_by, uint32_t add, uint32_t* w) {
   *w = word_.load(std::memory_order_relaxed);
   while ((*w & blocked_by) == 0) {
     if (word_.compare_exchange_weak(*w, *w + add, std::memory_order_acquire,
@@ -18,7 +18,7 @@ bool RwLatch::TryAcquire(uint64_t blocked_by, uint64_t add, uint64_t* w) {
   return false;
 }
 
-void RwLatch::Wait(uint64_t w, int* spins) {
+void RwLatch::Wait(uint32_t w, int* spins) {
   if (++*spins <= kSpinLimit) {
 #if defined(__x86_64__) || defined(__i386__)
     __builtin_ia32_pause();
@@ -41,7 +41,7 @@ void RwLatch::WakeParked() {
 }
 
 void RwLatch::LockShared() {
-  uint64_t w;
+  uint32_t w;
   for (int spins = 0;
        !TryAcquire(kExclusive | kWriterWaitingMask, kReader, &w);) {
     Wait(w, &spins);
@@ -52,38 +52,32 @@ void RwLatch::LockExclusive() {
   if (TryLockExclusive()) return;
   // Queued: from here on new S requests wait (writer priority).
   word_.fetch_add(kWriterWaiting, std::memory_order_relaxed);
-  uint64_t w;
+  uint32_t w;
   for (int spins = 0; !TryAcquire(kExclusive | kReaderMask,
                                   kExclusive - kWriterWaiting, &w);) {
     Wait(w, &spins);
   }
-  // Seqlock writer side: the X bit is visible before any write the holder
-  // makes (pairs with the fence in Validate).
-  std::atomic_thread_fence(std::memory_order_release);
 }
 
 bool RwLatch::TryLockShared() {
-  uint64_t w;
+  uint32_t w;
   return TryAcquire(kExclusive | kWriterWaitingMask, kReader, &w);
 }
 
 bool RwLatch::TryLockExclusive() {
-  uint64_t w;
-  if (!TryAcquire(kExclusive | kReaderMask, kExclusive, &w)) return false;
-  std::atomic_thread_fence(std::memory_order_release);  // as in LockExclusive
-  return true;
+  uint32_t w;
+  return TryAcquire(kExclusive | kReaderMask, kExclusive, &w);
 }
 
 void RwLatch::UnlockShared() {
-  uint64_t prev = word_.fetch_sub(kReader, std::memory_order_release);
+  uint32_t prev = word_.fetch_sub(kReader, std::memory_order_release);
   // Only the last reader out can admit a waiter (a queued writer).
   if ((prev & kReaderMask) == kReader && (prev & kParked) != 0) WakeParked();
 }
 
 void RwLatch::UnlockExclusive() {
-  // Clears kExclusive (known set) and advances the version in one step.
-  uint64_t prev =
-      word_.fetch_add(kVersion - kExclusive, std::memory_order_release);
+  // kExclusive is known set, so a subtraction clears it in one xadd.
+  uint32_t prev = word_.fetch_sub(kExclusive, std::memory_order_release);
   if ((prev & kParked) != 0) WakeParked();
 }
 

@@ -41,9 +41,9 @@ class ReadOnlyCommitTest : public ::testing::Test {
     return txn;
   }
 
-  bool HoldsRecord(Transaction* txn, Rid rid) {
-    return db_->locks()->Holds(
-        txn->id(), LockName::Record(table_->meta().id, rid), LockMode::kS);
+  bool HoldsRecord(TxnId txn, Rid rid) {
+    return db_->locks()->Holds(txn, LockName::Record(table_->meta().id, rid),
+                               LockMode::kS);
   }
 
   std::unique_ptr<TempDir> dir_;
@@ -62,25 +62,28 @@ TEST_F(ReadOnlyCommitTest, CommitAndRollbackLogNothing) {
   ASSERT_LT(flushed, next);
 
   Rid rid;
+  // Ids are read before the end: an ended transaction is freed.
   Transaction* committer = BeginReader("k1", &rid);
-  ASSERT_TRUE(HoldsRecord(committer, rid));
+  const TxnId committer_id = committer->id();
+  ASSERT_TRUE(HoldsRecord(committer_id, rid));
   ASSERT_OK(db_->Commit(committer));
-  EXPECT_EQ(committer->state(), TxnState::kCommitted);
-  EXPECT_FALSE(HoldsRecord(committer, rid));
+  EXPECT_FALSE(HoldsRecord(committer_id, rid));
 
   Transaction* aborter = BeginReader("k2", &rid);
+  const TxnId aborter_id = aborter->id();
   ASSERT_OK(db_->Rollback(aborter));
-  EXPECT_EQ(aborter->state(), TxnState::kAborted);
-  EXPECT_FALSE(HoldsRecord(aborter, rid));
+  EXPECT_FALSE(HoldsRecord(aborter_id, rid));
 
   Transaction* lazy = BeginReader("k3", &rid);
+  const TxnId lazy_id = lazy->id();
   ASSERT_OK(db_->CommitAsync(lazy));
-  EXPECT_FALSE(HoldsRecord(lazy, rid));
+  EXPECT_FALSE(HoldsRecord(lazy_id, rid));
 
   EXPECT_EQ(db_->wal()->next_lsn(), next) << "a read-only outcome was logged";
   EXPECT_EQ(db_->wal()->flushed_lsn(), flushed) << "a read-only commit forced";
-  EXPECT_EQ(db_->txns()->Find(committer->id()), nullptr);
-  EXPECT_EQ(db_->txns()->Find(aborter->id()), nullptr);
+  EXPECT_EQ(db_->txns()->Find(committer_id), nullptr);
+  EXPECT_EQ(db_->txns()->Find(aborter_id), nullptr);
+  EXPECT_EQ(db_->txns()->Find(lazy_id), nullptr);
   ASSERT_OK(db_->Commit(writer));
 }
 
@@ -105,9 +108,10 @@ TEST_F(ReadOnlyCommitTest, ReadsServedWhileLogFlushFails) {
 
   Rid rid;
   Transaction* reader = BeginReader("k4", &rid);
-  ASSERT_TRUE(HoldsRecord(reader, rid));
+  const TxnId reader_id = reader->id();
+  ASSERT_TRUE(HoldsRecord(reader_id, rid));
   EXPECT_OK(db_->Commit(reader));
-  EXPECT_FALSE(HoldsRecord(reader, rid));
+  EXPECT_FALSE(HoldsRecord(reader_id, rid));
 
   EXPECT_FALSE(db_->Commit(updater).ok());
   db_->fault_injector()->Disarm();
@@ -128,8 +132,9 @@ TEST_P(ReadsFromGuardTest, ReaderHardensLazyCommitItRead) {
   Transaction* t1 = db_->Begin();
   ASSERT_OK(table_->Insert(t1, {"lazy", "v1"}));
   ASSERT_OK(db_->CommitAsync(t1));
-  // T1's end record immediately follows its commit record.
-  const Lsn commit_end = t1->last_lsn();
+  // T1's end record, the log's last record, immediately follows its commit
+  // record.
+  const Lsn commit_end = db_->wal()->last_lsn();
   if (!GetParam()) {
     ASSERT_LT(db_->wal()->flushed_lsn(), commit_end)
         << "without a flusher nothing hardens a lazy commit by itself";
