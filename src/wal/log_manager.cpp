@@ -110,6 +110,7 @@ Status LogManager::Open() {
   }
   flushed_lsn_ = next_lsn_.load();
   buffer_base_ = next_lsn_.load();
+  prealloc_end_ = 0;
   buffer_.clear();
   return Status::OK();
 }
@@ -118,6 +119,10 @@ void LogManager::Close() {
   StopFlusher();
   if (fd_ >= 0) {
     FlushAll();
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (prealloc_end_ > next_lsn_) (void)::ftruncate(fd_, next_lsn_.load());
+    }
     ::close(fd_);
     fd_ = -1;
   }
@@ -205,6 +210,28 @@ Status LogManager::FlushLockedImpl() {
       return Status::IOError("short pwrite of log tail: wrote " +
                              std::to_string(n) + " of " +
                              std::to_string(buffer_.size()) + " bytes");
+    }
+    // Zero-fill ahead of the batch (fsync mode only): 64 KiB at the first
+    // flush after Open or a crash, so a restart's first commit stays cheap,
+    // then half the file size, capped at 4 MiB. The zeros ride this batch's
+    // fdatasync, so only an extension pays for a journal commit; a failed
+    // zero write just retries at the next flush.
+    const Lsn end = buffer_base_ + buffer_.size();
+    if (fsync_on_flush_ && end > prealloc_end_) {
+      static const char kZeros[64 << 10] = {};
+      const Lsn target =
+          end + (prealloc_end_ == 0 ? sizeof(kZeros)
+                                    : std::clamp<Lsn>(end / 2, sizeof(kZeros),
+                                                      Lsn{4} << 20));
+      Lsn off = end;
+      while (off < target) {
+        const ssize_t z =
+            ::pwrite(fd_, kZeros, std::min<Lsn>(sizeof(kZeros), target - off),
+                     static_cast<off_t>(off));
+        if (z <= 0) break;
+        off += static_cast<Lsn>(z);
+      }
+      prealloc_end_ = off;
     }
     write_done_ns = MonotonicNowNs();
     if (fsync_on_flush_ && ::fdatasync(fd_) != 0) {
@@ -384,6 +411,8 @@ Status LogManager::ReadFromFile(Lsn lsn, LogRecord* out) {
     return Status::NotFound("end of log");
   }
   uint32_t total_len = DecodeFixed32(hdr);
+  // A zero header is preallocated slack past the last record: a clean end.
+  if (total_len == 0) return Status::NotFound("end of log");
   if (total_len < kLogHeaderSize || total_len > (1u << 26)) {
     return Status::Corruption("implausible log record length");
   }
@@ -419,6 +448,9 @@ void LogManager::DiscardUnflushed() {
     buffer_.clear();
     next_lsn_ = flushed_lsn_.load();
     buffer_base_ = flushed_lsn_.load();
+    // A crash leaves the zero-filled slack on disk: forget it, so Close
+    // does not trim it away (the next flush zero-fills afresh).
+    prealloc_end_ = 0;
   }
   // Wake group-commit waiters whose records were just discarded (they see
   // lsn > next_lsn and return an error: their commits were never

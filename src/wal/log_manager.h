@@ -4,9 +4,15 @@
 // WAL contracts enforced here and by callers:
 //  - BufferPool forces FlushTo(page_LSN) before a dirty page is stolen.
 //  - TransactionManager forces CommitFlush(commit record end) at commit.
-//  - A simulated crash discards the tail buffer; the file then ends exactly
-//    at the durable prefix, and restart recovery scans from the master
-//    record's checkpoint.
+//  - A simulated crash discards the tail buffer; restart recovery scans
+//    from the master record's checkpoint.
+//
+// File layout: when flushes fsync, wal.log is zero-filled ahead of the
+// append point, so a commit's fdatasync overwrites allocated blocks and
+// changes no file size (no file-system journal commit). The durable end of
+// the log is therefore found by the CRC walk — a zero header ends it —
+// never from the file size. Open trims the walk's tail; Close trims the
+// slack, so a cleanly closed log is exactly its records.
 //
 // Group commit (docs/ARCHITECTURE.md has the full design): every flush
 // writes the whole tail, so one write covers every commit record appended
@@ -220,6 +226,9 @@ class LogManager {
   std::atomic<Lsn> next_lsn_{0};
   std::atomic<Lsn> flushed_lsn_{0};  // records below this are durable
   std::atomic<Lsn> last_lsn_{kNullLsn};
+  // Under mu_: the file is zero-filled up to here. 0 until the first flush
+  // after Open or DiscardUnflushed has preallocated.
+  Lsn prealloc_end_ = 0;
 
   // Wall-clock phases of the most recent successful tail flush (batch start,
   // pwrite done, fdatasync done), published relaxed *before* the flushed_lsn_

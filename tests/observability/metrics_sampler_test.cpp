@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -236,8 +235,7 @@ TEST(MetricsSampler, JsonlTailSurvivesTornCrash) {
     }
     TornCrashSpec spec;
     spec.target = TornCrashSpec::Target::kLogTail;
-    spec.truncate_to =
-        std::filesystem::file_size(dir.path() + "/wal.log") - 5;
+    spec.truncate_to = db->wal()->flushed_lsn() - 5;  // inside a record
     ASSERT_OK(db->SimulateTornCrash(spec));
   }
 

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "test_util.h"
+#include "util/fault_injector.h"
 
 namespace ariesim {
 namespace {
@@ -270,6 +272,144 @@ TEST(LogManagerTest, ConcurrentAppendsAllSurvive) {
   int n = 0;
   while (reader.Next(&rec).ok()) ++n;
   EXPECT_EQ(n, kThreads * kPer);
+}
+
+uint64_t FileBytes(const std::string& path) {
+  return std::filesystem::file_size(path);
+}
+
+// Every record from the prologue to the end of the log, payloads in order.
+std::vector<std::string> Payloads(LogManager* lm) {
+  LogManager::Reader reader(lm, kLogFilePrologue);
+  LogRecord rec;
+  std::vector<std::string> out;
+  while (reader.Next(&rec).ok()) out.push_back(rec.payload);
+  return out;
+}
+
+TEST(LogManagerTest, FsyncLogIsPreallocatedWhileOpenAndTrimmedOnClose) {
+  TempDir dir("wal_prealloc");
+  Metrics m;
+  std::string path = dir.path() + "/wal";
+  Lsn end;
+  {
+    LogManager lm(path, &m, /*fsync=*/true);
+    ASSERT_OK(lm.Open());
+    EXPECT_EQ(FileBytes(path), lm.next_lsn());
+    LogRecord a = Update(1, "first");
+    ASSERT_TRUE(lm.Append(&a).ok());
+    ASSERT_OK(lm.FlushAll());
+    EXPECT_GT(FileBytes(path), lm.next_lsn())
+        << "a flush must zero-fill ahead of the append point";
+    const uint64_t extended = FileBytes(path);
+    LogRecord b = Update(1, "second");
+    ASSERT_TRUE(lm.Append(&b).ok());
+    ASSERT_OK(lm.FlushAll());
+    EXPECT_EQ(FileBytes(path), extended)
+        << "a flush inside the zeros must not change the file size";
+    end = lm.next_lsn();
+    lm.Close();
+    EXPECT_EQ(FileBytes(path), end) << "a closed log is exactly its records";
+  }
+  LogManager lm(path, &m, true);
+  ASSERT_OK(lm.Open());
+  EXPECT_EQ(lm.next_lsn(), end);
+  EXPECT_EQ(Payloads(&lm), (std::vector<std::string>{"first", "second"}));
+}
+
+TEST(LogManagerTest, NoPreallocationWithoutFsync) {
+  TempDir dir("wal_no_prealloc");
+  Metrics m;
+  std::string path = dir.path() + "/wal";
+  LogManager lm(path, &m, /*fsync=*/false);
+  ASSERT_OK(lm.Open());
+  for (int i = 0; i < 3; ++i) {
+    LogRecord r = Update(1, "r" + std::to_string(i));
+    ASSERT_TRUE(lm.Append(&r).ok());
+    ASSERT_OK(lm.FlushAll());
+    EXPECT_EQ(FileBytes(path), lm.next_lsn());
+  }
+}
+
+TEST(LogManagerTest, ReopenOverZeroTailLandsOnFlushedLsn) {
+  TempDir dir("wal_zero_tail");
+  Metrics m;
+  std::string path = dir.path() + "/wal";
+  Lsn durable;
+  {
+    LogManager lm(path, &m, /*fsync=*/true);
+    ASSERT_OK(lm.Open());
+    LogRecord a = Update(1, "durable");
+    ASSERT_TRUE(lm.Append(&a).ok());
+    ASSERT_OK(lm.FlushAll());
+    LogRecord b = Update(1, "volatile");
+    ASSERT_TRUE(lm.Append(&b).ok());
+    durable = lm.flushed_lsn();
+    lm.DiscardUnflushed();  // crash: b is lost, the zeros stay on disk
+  }
+  ASSERT_GT(FileBytes(path), durable);
+  LogManager lm(path, &m, true);
+  ASSERT_OK(lm.Open());
+  EXPECT_EQ(lm.next_lsn(), durable);
+  EXPECT_EQ(lm.flushed_lsn(), durable);
+  LogRecord c = Update(1, "after");
+  EXPECT_EQ(lm.Append(&c).value(), durable);
+  ASSERT_OK(lm.FlushAll());
+  EXPECT_EQ(Payloads(&lm), (std::vector<std::string>{"durable", "after"}));
+}
+
+TEST(LogManagerTest, TearIntoPreallocatedRegionReopensAtTornRecord) {
+  TempDir dir("wal_tear_slack");
+  Metrics m;
+  FaultInjector fault;
+  std::string path = dir.path() + "/wal";
+  Lsn lc;
+  {
+    LogManager lm(path, &m, /*fsync=*/true);
+    lm.SetFaultInjector(&fault);
+    ASSERT_OK(lm.Open());
+    LogRecord a = Update(1, "a");
+    ASSERT_TRUE(lm.Append(&a).ok());
+    ASSERT_OK(lm.FlushAll());  // preallocates: b and c land in the zeros
+    const Lsn durable = lm.flushed_lsn();
+    LogRecord b = Update(1, "b");
+    LogRecord c = Update(1, "c-is-torn");
+    ASSERT_TRUE(lm.Append(&b).ok());
+    lc = lm.Append(&c).value();
+    FaultSpec spec;
+    spec.kind = FaultKind::kPartialFlush;
+    spec.site = FaultSite::kLogFlush;
+    spec.keep_bytes = static_cast<uint32_t>(b.SerializedSize() + 5);
+    fault.Arm(spec);
+    EXPECT_FALSE(lm.FlushAll().ok());
+    EXPECT_EQ(lm.flushed_lsn(), durable);
+    lm.DiscardUnflushed();
+  }
+  fault.Disarm();
+  LogManager lm(path, &m, true);
+  ASSERT_OK(lm.Open());
+  EXPECT_EQ(lm.next_lsn(), lc) << "the complete b survives, the torn c does not";
+  EXPECT_EQ(Payloads(&lm), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(LogManagerTest, FailedFlushLeavesFlushedLsn) {
+  TempDir dir("wal_failed_flush");
+  Metrics m;
+  FaultInjector fault;
+  LogManager lm(dir.path() + "/wal", &m, /*fsync=*/true);
+  lm.SetFaultInjector(&fault);
+  ASSERT_OK(lm.Open());
+  LogRecord a = Update(1, "a");
+  ASSERT_TRUE(lm.Append(&a).ok());
+  const Lsn before = lm.flushed_lsn();
+  FaultSpec spec;
+  spec.kind = FaultKind::kTransientError;
+  spec.site = FaultSite::kLogFlush;
+  fault.Arm(spec);
+  EXPECT_FALSE(lm.FlushAll().ok());
+  EXPECT_EQ(lm.flushed_lsn(), before);
+  ASSERT_OK(lm.FlushAll());  // the device healed
+  EXPECT_EQ(lm.flushed_lsn(), lm.next_lsn());
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // LogManager::Open truncates a torn log tail as a side effect, and a
 // verifier must never modify what it verifies. Checks:
 //   - wal.log: magic prologue, then a CRC walk of every record; reports the
-//     first bad LSN (a torn tail) and the durable end of the log;
+//     first bad LSN (a torn tail) and the durable end of the log. An
+//     all-zero remainder is the log's preallocated slack, not a finding;
 //   - data.db: the buffer pool's strict load predicate on every page — a
 //     typed page must carry a matching checksum, an untyped page must be
 //     entirely zero;
@@ -67,6 +68,7 @@ Lsn ScanLog(const std::string& log) {
   }
   Lsn pos = kLogFilePrologue;
   uint64_t records = 0;
+  size_t slack = 0;
   while (pos < log.size()) {
     LogRecord rec;
     Status s = Status::Corruption("record header extends past end of file");
@@ -75,18 +77,25 @@ Lsn ScanLog(const std::string& log) {
           std::string_view(log.data() + pos, log.size() - pos), &rec);
     }
     if (!s.ok()) {
-      Finding("torn log tail: first bad LSN " + std::to_string(pos) + " (" +
-              std::to_string(log.size() - pos) +
-              " trailing bytes fail the CRC walk; restart recovery would "
-              "truncate here)");
+      if (std::string_view(log).substr(pos).find_first_not_of('\0') ==
+          std::string_view::npos) {
+        slack = log.size() - pos;  // zero-filled ahead of the append point
+      } else {
+        Finding("torn log tail: first bad LSN " + std::to_string(pos) + " (" +
+                std::to_string(log.size() - pos) +
+                " trailing bytes fail the CRC walk; restart recovery would "
+                "truncate here)");
+      }
       break;
     }
     pos += rec.SerializedSize();
     ++records;
   }
-  std::printf("fsck: wal.log %zu bytes, %llu records, durable end-of-log %llu\n",
-              log.size(), static_cast<unsigned long long>(records),
-              static_cast<unsigned long long>(pos));
+  std::printf(
+      "fsck: wal.log %zu bytes, %llu records, durable end-of-log %llu, %zu "
+      "bytes preallocated\n",
+      log.size(), static_cast<unsigned long long>(records),
+      static_cast<unsigned long long>(pos), slack);
   return pos;
 }
 

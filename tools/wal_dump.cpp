@@ -1,6 +1,7 @@
 // WAL dump utility: prints every log record, decoding btree/heap/meta ops.
 //   wal_dump <db-dir> [page-id-filter]
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "btree/node.h"
@@ -34,7 +35,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   Metrics m;
-  LogManager lm(std::string(argv[1]) + "/wal.log", &m, false);
+  const std::string path = std::string(argv[1]) + "/wal.log";
+  std::error_code ec;
+  const uint64_t file_bytes = std::filesystem::file_size(path, ec);
+  LogManager lm(path, &m, false);
   if (!lm.Open().ok()) return 1;
   PageId filter = argc > 2 ? static_cast<PageId>(std::stoul(argv[2]))
                            : kInvalidPageId;
@@ -172,5 +176,13 @@ int main(int argc, char** argv) {
     }
     std::printf("%s%s\n", rec.ToString().c_str(), extra.c_str());
   }
+  // Open's CRC walk ends at the first zero header or bad record and trims
+  // the file there; fsck tells preallocated zeros from a torn tail.
+  std::printf("end of log at LSN %llu; %llu bytes past it trimmed by open "
+              "(preallocated zeros or a torn tail)\n",
+              static_cast<unsigned long long>(lm.next_lsn()),
+              static_cast<unsigned long long>(
+                  ec || file_bytes < lm.next_lsn() ? 0
+                                                   : file_bytes - lm.next_lsn()));
   return 0;
 }
