@@ -1,16 +1,21 @@
-// Lock-free log-bucketed latency histogram (see docs/OBSERVABILITY.md).
+// Lock-free metric cells, striped per thread (see docs/OBSERVABILITY.md):
+// a counter and a log-bucketed latency histogram.
+//
+// Striping: each cell holds kStripes cache-line-aligned stripes, and each
+// thread writes only the stripe ThisThreadStripe() handed it, so threads on
+// different cores never bounce a metric's cache line. Readers (load,
+// Snapshot, CopyBuckets, count) sum every stripe with relaxed loads; under
+// concurrent writers the result is fuzzy but never goes backwards, and it is
+// exact once the writers are joined. More than kStripes threads share
+// stripes, which stays correct because every write is an atomic RMW.
 //
 // HdrHistogram-style bucketing: values are binned by their power of two
 // (major bucket) subdivided into kSubBuckets linear sub-buckets, giving a
 // constant relative error of at most 1/kSubBuckets (12.5%) across the whole
-// 64-bit range with a fixed ~4 KiB of storage. Record() is two relaxed
-// fetch_adds plus a CAS loop for the max — safe from any thread, never
-// blocking, and cheap enough to leave on in production builds (the operations
-// we measure — fsyncs, page reads, lock waits — are microseconds at best).
-//
-// Snapshot() copies the buckets with relaxed loads; under concurrent writers
-// the result is a slightly fuzzy but internally consistent-enough view
-// (counts never go backwards, percentiles are computed from whatever landed).
+// 64-bit range with ~4 KiB per stripe. Record() is two relaxed fetch_adds
+// on the caller's own stripe (bucket, sum) plus a load of that stripe's max,
+// with a CAS only when the value is a new stripe maximum: never blocking,
+// and cheap enough to leave on in production builds.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +27,52 @@
 #include "common/clock.h"
 
 namespace ariesim {
+
+/// Stripes per metric cell. Eight covers the engine's client and background
+/// threads on a small box; the registry's memory grows linearly with it.
+inline constexpr size_t kStripes = 8;
+
+/// The calling thread's stripe, handed out round-robin at its first write.
+inline size_t ThisThreadStripe() {
+  constexpr size_t kUnassigned = ~size_t{0};
+  static std::atomic<size_t> next{0};
+  thread_local size_t stripe = kUnassigned;
+  if (stripe == kUnassigned) {
+    stripe = next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+  }
+  return stripe;
+}
+
+/// A uint64_t counter with std::atomic's surface (fetch_add, ++, load,
+/// store), striped per thread. The increments return nothing: a stripe's old
+/// value is not the counter's. load() sums the stripes; store() is for gauges
+/// and Reset: stripe 0 takes the value and the others are zeroed, so it is
+/// not atomic against concurrent increments.
+class StripedCounter {
+ public:
+  void fetch_add(uint64_t v,
+                 std::memory_order order = std::memory_order_seq_cst) {
+    cells_[ThisThreadStripe()].v.fetch_add(v, order);
+  }
+  void operator++(int) { fetch_add(1); }
+  void operator++() { fetch_add(1); }
+
+  uint64_t load(std::memory_order order = std::memory_order_seq_cst) const {
+    uint64_t total = 0;
+    for (const Cell& c : cells_) total += c.v.load(order);
+    return total;
+  }
+  void store(uint64_t v, std::memory_order order = std::memory_order_seq_cst) {
+    cells_[0].v.store(v, order);
+    for (size_t i = 1; i < kStripes; i++) cells_[i].v.store(0, order);
+  }
+
+ private:
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> v{0};
+  };
+  Cell cells_[kStripes];
+};
 
 /// Point-in-time copy of a histogram, with percentiles precomputed.
 /// Durations are recorded in nanoseconds; the *_us helpers convert for
@@ -77,32 +128,35 @@ class LatencyHistogram {
   }
 
   void Record(uint64_t ns) {
-    buckets_[BucketFor(ns)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(ns, std::memory_order_relaxed);
-    uint64_t prev = max_.load(std::memory_order_relaxed);
+    Stripe& st = stripes_[ThisThreadStripe()];
+    st.buckets[BucketFor(ns)].fetch_add(1, std::memory_order_relaxed);
+    st.sum.fetch_add(ns, std::memory_order_relaxed);
+    uint64_t prev = st.max.load(std::memory_order_relaxed);
     while (ns > prev &&
-           !max_.compare_exchange_weak(prev, ns, std::memory_order_relaxed)) {
+           !st.max.compare_exchange_weak(prev, ns, std::memory_order_relaxed)) {
     }
   }
 
   /// Observations so far: the bucket sum, with Snapshot()'s fuzziness.
   uint64_t count() const {
     uint64_t total = 0;
-    for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
+    for (const Stripe& st : stripes_) {
+      for (const auto& b : st.buckets) total += b.load(std::memory_order_relaxed);
+    }
     return total;
   }
 
   HistogramSnapshot Snapshot() const {
     HistogramSnapshot s;
     uint64_t counts[kNumBuckets];
+    CopyBuckets(counts);
     uint64_t total = 0;
-    for (size_t i = 0; i < kNumBuckets; i++) {
-      counts[i] = buckets_[i].load(std::memory_order_relaxed);
-      total += counts[i];
-    }
+    for (uint64_t c : counts) total += c;
     s.count = total;
-    s.sum_ns = sum_.load(std::memory_order_relaxed);
-    s.max_ns = max_.load(std::memory_order_relaxed);
+    for (const Stripe& st : stripes_) {
+      s.sum_ns += st.sum.load(std::memory_order_relaxed);
+      s.max_ns = std::max(s.max_ns, st.max.load(std::memory_order_relaxed));
+    }
     s.p50_ns = ValueAt(counts, total, 0.50);
     s.p95_ns = ValueAt(counts, total, 0.95);
     s.p99_ns = ValueAt(counts, total, 0.99);
@@ -113,19 +167,24 @@ class LatencyHistogram {
     return s;
   }
 
-  /// Relaxed copy of all kNumBuckets per-bucket counts into `out` (sized by
-  /// the caller). Feeds the OpenMetrics bucket exposition; same fuzziness
-  /// contract as Snapshot().
+  /// Relaxed per-bucket counts, summed over the stripes, into `out` (all
+  /// kNumBuckets, sized by the caller). Feeds the OpenMetrics bucket
+  /// exposition; same fuzziness contract as Snapshot().
   void CopyBuckets(uint64_t* out) const {
-    for (size_t i = 0; i < kNumBuckets; i++) {
-      out[i] = buckets_[i].load(std::memory_order_relaxed);
+    std::fill(out, out + kNumBuckets, 0);
+    for (const Stripe& st : stripes_) {
+      for (size_t i = 0; i < kNumBuckets; i++) {
+        out[i] += st.buckets[i].load(std::memory_order_relaxed);
+      }
     }
   }
 
   void Reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
+    for (Stripe& st : stripes_) {
+      for (auto& b : st.buckets) b.store(0, std::memory_order_relaxed);
+      st.sum.store(0, std::memory_order_relaxed);
+      st.max.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
@@ -142,9 +201,13 @@ class LatencyHistogram {
     return BucketMidpoint(kNumBuckets - 1);
   }
 
-  std::atomic<uint64_t> buckets_[kNumBuckets]{};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> max_{0};
+  // One thread's share. Aligned so no two stripes share a cache line.
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> sum{0};
+    std::atomic<uint64_t> max{0};
+    std::atomic<uint64_t> buckets[kNumBuckets]{};
+  };
+  Stripe stripes_[kStripes];
 };
 
 /// RAII latency recorder: records the elapsed time into `h` on scope exit.

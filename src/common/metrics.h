@@ -4,7 +4,9 @@
 // accessed during redo / undo / normal processing, logical vs page-oriented
 // undos); the histograms (PR 4) add the time dimension — where a commit,
 // lock wait, page miss, fsync, latch wait, or online repair spends it.
-// Per-counter semantics live in docs/METRICS.md.
+// Every cell is striped per thread (common/histogram.h), so the engine's
+// threads never share a metric's cache line. Per-counter semantics live in
+// docs/METRICS.md.
 //
 // Every counter MUST be declared through ARIESIM_METRICS_COUNTERS and every
 // histogram through ARIESIM_METRICS_HISTOGRAMS: the X-macros generate the
@@ -15,7 +17,6 @@
 // the stats surface.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -112,7 +113,7 @@ struct MetricsSnapshot;
   X(commit_seg_wakeup)
 
 struct Metrics {
-#define ARIESIM_DECLARE_COUNTER(name) std::atomic<uint64_t> name{0};
+#define ARIESIM_DECLARE_COUNTER(name) StripedCounter name;
   ARIESIM_METRICS_COUNTERS(ARIESIM_DECLARE_COUNTER)
 #undef ARIESIM_DECLARE_COUNTER
 

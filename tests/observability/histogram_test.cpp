@@ -1,6 +1,9 @@
 // LatencyHistogram: bucket math invariants, percentile accuracy bounds, and
 // concurrent recording. The bucketing promises at most 1/kSubBuckets (12.5%)
 // relative error; tests assert a slightly looser 15% to stay off the edge.
+// The multi-threaded tests pin the per-thread stripes of LatencyHistogram
+// and StripedCounter: every read merges all stripes, exactly once the
+// writers are joined.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -88,42 +91,120 @@ TEST(LatencyHistogram, BimodalDistribution) {
 
 TEST(LatencyHistogram, ConcurrentRecording) {
   LatencyHistogram h;
+  StripedCounter c;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 100'000;
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&h, t] {
-      // Each thread records a distinct value; counts and sum must be exact
-      // (relaxed atomics lose nothing, they only reorder).
+    workers.emplace_back([&h, &c, t] {
+      // Each thread records a distinct value into its own stripe; once the
+      // threads are joined, the merged counts and sum must be exact.
       uint64_t v = 1'000u * static_cast<uint64_t>(t + 1);
-      for (int i = 0; i < kPerThread; ++i) h.Record(v);
+      for (int i = 0; i < kPerThread; ++i) {
+        h.Record(v);
+        c.fetch_add(2, std::memory_order_relaxed);
+        c++;
+      }
     });
   }
   for (auto& w : workers) w.join();
+  const uint64_t n = static_cast<uint64_t>(kThreads) * kPerThread;
+  EXPECT_EQ(c.load(), 3 * n);
   HistogramSnapshot s = h.Snapshot();
-  EXPECT_EQ(s.count, static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(s.count, n);
+  EXPECT_EQ(h.count(), n);
   uint64_t want_sum = 0;
   for (int t = 0; t < kThreads; ++t) {
     want_sum += 1'000u * static_cast<uint64_t>(t + 1) * kPerThread;
   }
   EXPECT_EQ(s.sum_ns, want_sum);
   EXPECT_EQ(s.max_ns, 8'000u);
+  // The eight values fall in eight buckets, each holding one thread's.
+  uint64_t buckets[LatencyHistogram::kNumBuckets];
+  h.CopyBuckets(buckets);
+  uint64_t total = 0;
+  for (uint64_t b : buckets) total += b;
+  EXPECT_EQ(total, n);
+  for (int t = 0; t < kThreads; ++t) {
+    const uint64_t v = 1'000u * static_cast<uint64_t>(t + 1);
+    EXPECT_EQ(buckets[LatencyHistogram::BucketFor(v)], uint64_t{kPerThread})
+        << "v=" << v;
+  }
   // p50 of the uniform mixture over {1k..8k} is the 4th value.
   ExpectWithin(s.p50_ns, 5'000, "p50");
   EXPECT_LE(s.p99_ns, s.max_ns);
 }
 
+constexpr int kStripedThreads = 8;
+
+// Runs `body(t)` on kStripedThreads threads and joins them.
+template <typename Body>
+void OnStripedThreads(Body body) {
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kStripedThreads; ++t) workers.emplace_back(body, t);
+  for (auto& w : workers) w.join();
+}
+
+TEST(StripedMetrics, MaxOfOneStripeWins) {
+  LatencyHistogram h;
+  h.Record(100);  // this thread's stripe
+  const size_t mine = ThisThreadStripe();
+  // The maximum lands on a stripe that is neither this thread's nor 0.
+  for (bool recorded = false; !recorded;) {
+    std::thread([&] {
+      const size_t stripe = ThisThreadStripe();
+      if (stripe != mine && stripe != 0) {
+        h.Record(9'999'999);
+        recorded = true;
+      }
+    }).join();
+  }
+  OnStripedThreads([&](int t) { h.Record(1'000u * (t + 1)); });
+  const HistogramSnapshot s = h.Snapshot();
+  EXPECT_EQ(s.count, 2u + kStripedThreads);
+  EXPECT_EQ(s.max_ns, 9'999'999u);
+  EXPECT_LE(s.p99_ns, s.max_ns);
+}
+
+TEST(StripedMetrics, GaugeStoreThenLoad) {
+  StripedCounter gauge;
+  OnStripedThreads([&](int t) { gauge.fetch_add(t + 1); });
+  ASSERT_EQ(gauge.load(), 36u);
+  // A gauge's store replaces the whole value, whatever the stripes held.
+  gauge.store(42);
+  EXPECT_EQ(gauge.load(), 42u);
+  std::thread([&] { gauge.store(7, std::memory_order_relaxed); }).join();
+  EXPECT_EQ(gauge.load(std::memory_order_relaxed), 7u);
+}
+
 TEST(LatencyHistogram, ResetZeroesEverything) {
   LatencyHistogram h;
-  for (int i = 0; i < 100; ++i) h.Record(12'345);
+  StripedCounter c;
+  // Every thread's stripe holds something before the reset.
+  OnStripedThreads([&](int t) {
+    for (int i = 0; i < 100; ++i) {
+      h.Record(12'345u * (t + 1));
+      c++;
+    }
+  });
+  ASSERT_EQ(c.load(), 800u);
   h.Reset();
+  c.store(0);
+  EXPECT_EQ(c.load(), 0u);
   HistogramSnapshot s = h.Snapshot();
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.sum_ns, 0u);
   EXPECT_EQ(s.max_ns, 0u);
   EXPECT_EQ(s.p50_ns, 0u);
   EXPECT_EQ(h.count(), 0u);
+  uint64_t buckets[LatencyHistogram::kNumBuckets];
+  h.CopyBuckets(buckets);
+  for (uint64_t b : buckets) EXPECT_EQ(b, 0u);
+  // The stripes count again from zero.
+  OnStripedThreads([&](int) { h.Record(7); });
+  EXPECT_EQ(h.Snapshot().count, uint64_t{kStripedThreads});
+  EXPECT_EQ(h.Snapshot().max_ns, 7u);
 }
 
 TEST(LatencyHistogram, ScopedLatencyRecordsAndCancels) {

@@ -13,14 +13,15 @@
 namespace ariesim {
 namespace {
 
-// Layout check: the counters are kCounterCount atomics laid out first, the
-// histograms directly after. Any member declared outside the X-macros (or a
-// histogram squeezed between counters) breaks one of these equalities.
+// Layout check: the counters are kCounterCount StripedCounters laid out
+// first, the histograms directly after. Any member declared outside the
+// X-macros (or a histogram squeezed between counters) breaks one of these
+// equalities.
 static_assert(offsetof(Metrics, commit_latency) ==
-                  Metrics::kCounterCount * sizeof(std::atomic<uint64_t>),
+                  Metrics::kCounterCount * sizeof(StripedCounter),
               "a Metrics counter was added outside ARIESIM_METRICS_COUNTERS");
 static_assert(sizeof(Metrics) ==
-                  Metrics::kCounterCount * sizeof(std::atomic<uint64_t>) +
+                  Metrics::kCounterCount * sizeof(StripedCounter) +
                       Metrics::kHistogramCount * sizeof(LatencyHistogram),
               "a Metrics member was added outside the X-macros");
 

@@ -1,14 +1,19 @@
 // WAL dump utility: prints every log record, decoding btree/heap/meta ops.
 //   wal_dump <db-dir> [page-id-filter]
+//
+// Read-only: it walks a copy of wal.log in memory, as fsck does, and never
+// opens the log through LogManager, whose Open trims the tail it finds.
 #include <cstdio>
-#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 
 #include "btree/node.h"
-#include "common/metrics.h"
 #include "record/heap_page.h"
 #include "recovery/page_index.h"
-#include "wal/log_manager.h"
+#include "util/coding.h"
+#include "wal/log_record.h"
 
 using namespace ariesim;
 
@@ -34,17 +39,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: wal_dump <db-dir> [page-id]\n");
     return 1;
   }
-  Metrics m;
   const std::string path = std::string(argv[1]) + "/wal.log";
-  std::error_code ec;
-  const uint64_t file_bytes = std::filesystem::file_size(path, ec);
-  LogManager lm(path, &m, false);
-  if (!lm.Open().ok()) return 1;
+  std::ifstream file(path, std::ios::binary);
+  const std::string log((std::istreambuf_iterator<char>(file)),
+                        std::istreambuf_iterator<char>());
+  if (!file.is_open() || log.size() < kLogFilePrologue ||
+      DecodeFixed64(log.data()) != kLogMagic) {
+    std::fprintf(stderr, "wal_dump: %s is missing or has a bad prologue\n",
+                 path.c_str());
+    return 1;
+  }
   PageId filter = argc > 2 ? static_cast<PageId>(std::stoul(argv[2]))
                            : kInvalidPageId;
-  LogManager::Reader reader(&lm, kLogFilePrologue);
+  // The CRC walk restart would make: it ends at the first record that does
+  // not parse (a zero header or a torn tail).
+  Lsn pos = kLogFilePrologue;
   LogRecord rec;
-  while (reader.Next(&rec).ok()) {
+  for (; pos + kLogHeaderSize <= log.size() &&
+         LogRecord::Parse(std::string_view(log).substr(pos), &rec).ok();
+       pos += rec.SerializedSize()) {
+    rec.lsn = pos;
     // Page-index chunks carry no page_id of their own; with a filter active
     // they pass through and print only the filtered page's chain.
     if (filter != kInvalidPageId && rec.page_id != filter &&
@@ -176,13 +190,10 @@ int main(int argc, char** argv) {
     }
     std::printf("%s%s\n", rec.ToString().c_str(), extra.c_str());
   }
-  // Open's CRC walk ends at the first zero header or bad record and trims
-  // the file there; fsck tells preallocated zeros from a torn tail.
-  std::printf("end of log at LSN %llu; %llu bytes past it trimmed by open "
+  // fsck tells preallocated zeros from a torn tail.
+  std::printf("end of log at LSN %llu; %llu bytes past it left in place "
               "(preallocated zeros or a torn tail)\n",
-              static_cast<unsigned long long>(lm.next_lsn()),
-              static_cast<unsigned long long>(
-                  ec || file_bytes < lm.next_lsn() ? 0
-                                                   : file_bytes - lm.next_lsn()));
+              static_cast<unsigned long long>(pos),
+              static_cast<unsigned long long>(log.size() - pos));
   return 0;
 }
