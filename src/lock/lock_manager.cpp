@@ -79,7 +79,7 @@ void LockManager::GrantWaiters(Queue& q) {
       r.mode = r.conv_target;
       r.converting = false;
       r.grant_ns = now_ns();
-      r.owner->cv.notify_all();
+      Wake(*r.owner);
     }
   }
   // Pass 2: new waiters, FIFO.
@@ -88,8 +88,14 @@ void LockManager::GrantWaiters(Queue& q) {
     if (!NewGrantable(q, r)) break;
     r.granted = true;
     r.grant_ns = now_ns();
-    r.owner->cv.notify_all();
+    Wake(*r.owner);
   }
+}
+
+void LockManager::Wake(TxnLockState& st) {
+  std::lock_guard<std::mutex> lk(st.mu);
+  ++st.wake_seq;
+  st.cv.notify_all();
 }
 
 void LockManager::RemoveLocked(Shard& sh, const LockName& name, TxnId txn) {
@@ -282,7 +288,7 @@ void LockManager::ConfigureWatchdog(
   watchdog_fired_ = false;
 }
 
-bool LockManager::WaitForGrant(std::unique_lock<std::mutex>& lk,
+bool LockManager::WaitForGrant(std::unique_lock<Shard>& lk,
                                TxnLockState& st, TxnId txn,
                                const LockName& name, Request& mine,
                                bool converting) {
@@ -312,14 +318,22 @@ bool LockManager::WaitForGrant(std::unique_lock<std::mutex>& lk,
         if (!vs->deadlock_victim.exchange(true)) {
           RecordPostmortemAllLocked(v, cycle);
         }
-        vs->cv.notify_all();
+        Wake(*vs);
       }
     }
     MaybeFireWatchdog(wait_start_ns);
     lk.lock();
     if (granted()) break;
     if ((victim = st.deadlock_victim.exchange(false))) break;
-    st.cv.wait_for(lk, std::chrono::milliseconds(5));
+    // Read wake_seq before dropping the shard: a grant that lands between
+    // the unlatch and the sleep moves it, so the wait returns at once.
+    std::unique_lock<std::mutex> wl(st.mu);
+    const uint64_t seq = st.wake_seq;
+    lk.unlock();
+    st.cv.wait_for(wl, std::chrono::milliseconds(5),
+                   [&] { return st.wake_seq != seq; });
+    wl.unlock();
+    lk.lock();
   } while (!granted());
   // Granted: any cycle that named this transaction has dissolved.
   st.deadlock_victim.store(false);
@@ -342,7 +356,7 @@ Status LockManager::Lock(TxnId txn, const LockName& name, LockMode mode,
     // (upgrade); anything else is a fresh request.
     const bool converting = held_it != st.held.end();
     Shard& sh = ShardOf(name);
-    std::unique_lock<std::mutex> lk(sh.mu);
+    std::unique_lock<Shard> lk(sh);
     Queue& q = sh.table[name];
     Request* mine;
     if (converting) {
@@ -424,7 +438,7 @@ void LockManager::Unlock(TxnId txn, const LockName& name) {
   TxnLockState* st = FindState(txn);
   if (st == nullptr) return;
   Shard& sh = ShardOf(name);
-  std::lock_guard<std::mutex> lk(sh.mu);
+  std::lock_guard<Shard> lk(sh);
   RemoveLocked(sh, name, txn);
   std::lock_guard<std::mutex> hl(st->mu);
   st->held.erase(name);
@@ -435,7 +449,7 @@ void LockManager::ReleaseAll(TxnId txn) {
   if (st == nullptr) return;
   for (auto& [name, mode] : st->held) {
     Shard& sh = ShardOf(name);
-    std::lock_guard<std::mutex> lk(sh.mu);
+    std::lock_guard<Shard> lk(sh);
     RemoveLocked(sh, name, txn);
   }
   TxnShard& ts = TxnShardOf(txn);

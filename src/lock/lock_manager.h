@@ -30,11 +30,12 @@
 #include "common/types.h"
 #include "lock/lock_forensics.h"
 #include "lock/lock_mode.h"
+#include "util/rwlatch.h"
 
 namespace ariesim {
 
 /// Observer hook for tests/benches verifying the Figure 2 locking matrix.
-/// Called (under no internal mutex) for every successful Lock() call.
+/// Called (under no internal mutex or latch) for every successful Lock() call.
 struct LockEvent {
   TxnId txn;
   LockName name;
@@ -54,11 +55,14 @@ class LockManager {
 
   explicit LockManager(Metrics* metrics) : metrics_(metrics) {}
 
-  /// The name table is split into this many mutex-guarded shards; Lock()
-  /// takes only its name's shard. Snapshot(), the deadlock detector and the
-  /// watchdog hold all of them at once, so the count stays well under
-  /// ThreadSanitizer's limit on mutexes one thread may hold.
-  static constexpr size_t kNameShards = 16;
+  /// The name table is split into this many shards, each guarded by an
+  /// RwLatch word taken in X mode; Lock() takes only its name's shard.
+  /// Snapshot(), the deadlock detector and the watchdog latch all of them.
+  /// Latch words are not mutexes, so ThreadSanitizer's cap on mutexes one
+  /// thread may hold does not bound this count.
+  static constexpr size_t kNameShards = 256;
+  /// The transaction registry's shard count, independent of kNameShards.
+  static constexpr size_t kTxnShards = 16;
   /// Which shard `name` lives in (tests use it to spread names).
   static size_t ShardIndex(const LockName& name) {
     return ((LockNameHash()(name) * 0x9e3779b97f4a7c15ull) >> 32) %
@@ -128,7 +132,10 @@ class LockManager {
   struct TxnLockState {
     std::mutex mu;
     std::unordered_map<LockName, LockMode, LockNameHash> held;
-    std::condition_variable cv;  ///< waited on with the awaited name's shard
+    /// A waiter sleeps on `cv` with `mu` until `wake_seq` moves; Wake()
+    /// bumps it under `mu` for every grant and deadlock verdict.
+    std::condition_variable cv;
+    uint64_t wake_seq = 0;
     std::atomic<bool> deadlock_victim{false};
   };
   /// One entry per transaction per lock name. A granted entry may carry a
@@ -148,26 +155,32 @@ class LockManager {
   struct Queue {
     std::list<Request> reqs;  // arrival order; waiters FIFO among themselves
   };
+  /// Lockable (lock/unlock take the latch in X mode) for std::unique_lock.
   struct alignas(64) Shard {
-    std::mutex mu;
+    void lock() { latch.LockExclusive(); }
+    void unlock() { latch.UnlockExclusive(); }
+    RwLatch latch;
     std::unordered_map<LockName, Queue, LockNameHash> table;
   };
   struct alignas(64) TxnShard {
     std::mutex mu;
     std::unordered_map<TxnId, std::unique_ptr<TxnLockState>> states;
   };
-  /// Holds every name shard, taken in index order, for as long as it lives.
+  /// Latches every name shard, in index order, for as long as it lives.
   struct AllShards {
-    explicit AllShards(LockManager* lm) {
-      for (size_t i = 0; i < kNameShards; ++i) {
-        locks[i] = std::unique_lock<std::mutex>(lm->shards_[i].mu);
-      }
+    explicit AllShards(LockManager* lm) : shards(lm->shards_) {
+      for (Shard& sh : shards) sh.lock();
     }
-    std::array<std::unique_lock<std::mutex>, kNameShards> locks;
+    ~AllShards() {
+      for (Shard& sh : shards) sh.unlock();
+    }
+    AllShards(const AllShards&) = delete;
+    AllShards& operator=(const AllShards&) = delete;
+    std::array<Shard, kNameShards>& shards;
   };
 
   Shard& ShardOf(const LockName& name) { return shards_[ShardIndex(name)]; }
-  TxnShard& TxnShardOf(TxnId txn) { return txn_shards_[txn % kNameShards]; }
+  TxnShard& TxnShardOf(TxnId txn) { return txn_shards_[txn % kTxnShards]; }
   /// The transaction's state, created on first use.
   TxnLockState& State(TxnId txn);
   /// The transaction's state, or nullptr.
@@ -176,14 +189,17 @@ class LockManager {
   bool ConversionGrantable(const Queue& q, const Request& r) const;
   bool NewGrantable(const Queue& q, const Request& r) const;
   void GrantWaiters(Queue& q);
+  /// Bump `st`'s wake_seq under its `mu` and notify its waiter.
+  static void Wake(TxnLockState& st);
   /// Blocks until `mine` is granted (`converting`: its conversion applied)
   /// or the transaction is chosen as a deadlock victim; returns false for
   /// the latter. Each round drops `lk` to run the detector and the
-  /// watchdog with every shard held.
-  bool WaitForGrant(std::unique_lock<std::mutex>& lk, TxnLockState& st,
+  /// watchdog with every shard held, then sleeps on `st.cv` for at most
+  /// 5 ms unless woken.
+  bool WaitForGrant(std::unique_lock<Shard>& lk, TxnLockState& st,
                     TxnId txn, const LockName& name, Request& mine,
                     bool converting);
-  /// Remove `txn`'s requests on `name`; holds `sh.mu`.
+  /// Remove `txn`'s requests on `name`; holds `sh`.
   void RemoveLocked(Shard& sh, const LockName& name, TxnId txn);
   /// The waits-for edge set, one edge per (waiter, blocking holder, name).
   /// Must hold all shards (as must every *AllLocked helper below).
@@ -208,10 +224,10 @@ class LockManager {
   Metrics* metrics_;
   LockObserver observer_;
   std::array<Shard, kNameShards> shards_;
-  std::array<TxnShard, kNameShards> txn_shards_;
+  std::array<TxnShard, kTxnShards> txn_shards_;
   Contention contention_;  // lock-free
 
-  // Forensics, under forensics_mu_ (which ranks after every other mutex).
+  // Forensics, under forensics_mu_ (which ranks after every other lock).
   std::mutex forensics_mu_;
   std::deque<DeadlockPostmortem> postmortems_;
   size_t postmortem_cap_ = 64;

@@ -16,7 +16,10 @@ enum class LatchMode : uint8_t { kShared, kExclusive };
 /// A fair-ish S/X latch in one 32-bit word (docs/CONCURRENCY.md, "The latch
 /// word"). Writers take priority once queued to avoid starvation during SMO
 /// propagation. A blocked acquirer spins briefly, then sleeps in
-/// std::atomic::wait.
+/// std::atomic::wait. Besides page and tree latches, the lock table guards
+/// each of its name shards with one, taken in X mode only: a word, unlike a
+/// mutex, does not count against ThreadSanitizer's cap on held mutexes when
+/// the deadlock detector latches every shard.
 class RwLatch {
  public:
   RwLatch() = default;

@@ -1,12 +1,17 @@
 // Lock manager tests: grant/conflict/wait, conditional requests, instant
 // duration, conversions (upgrades), release-all, deadlock detection with
-// youngest-victim selection, and the observer hook.
+// youngest-victim selection, the observer hook, prompt wake-up of a granted
+// waiter, and the spread of record names over the name shards.
 #include "lock/lock_manager.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <vector>
+
+#include "common/clock.h"
 
 namespace ariesim {
 namespace {
@@ -210,6 +215,53 @@ TEST_F(LockManagerTest, ManualUnlock) {
   lm_.Unlock(1, NameA());
   EXPECT_TRUE(lm_.Lock(2, NameA(), LockMode::kS, LockDuration::kCommit, true).ok());
   lm_.ReleaseAll(2);
+}
+
+TEST_F(LockManagerTest, GrantWakesWaiterWithoutPolling) {
+  // A waiter that misses its wake-up still gets in, at the next 5 ms poll;
+  // only a delivered wake-up keeps the median handoff far below that.
+  constexpr int kHandoffs = 100;
+  std::vector<uint64_t> handoff_ns;
+  for (int i = 0; i < kHandoffs; ++i) {
+    ASSERT_TRUE(
+        lm_.Lock(1, NameA(), LockMode::kX, LockDuration::kCommit, false).ok());
+    const uint64_t waits_before = m_.lock_waits.load();
+    std::atomic<uint64_t> granted_ns{0};
+    std::thread waiter([&] {
+      Status s = lm_.Lock(2, NameA(), LockMode::kX, LockDuration::kCommit, false);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      granted_ns = MonotonicNowNs();
+    });
+    while (m_.lock_waits.load() == waits_before) std::this_thread::yield();
+    // Let the waiter finish its detection round and fall asleep.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const uint64_t release_ns = MonotonicNowNs();
+    lm_.ReleaseAll(1);
+    waiter.join();
+    handoff_ns.push_back(granted_ns.load() - release_ns);
+    lm_.ReleaseAll(2);
+  }
+  std::sort(handoff_ns.begin(), handoff_ns.end());
+  EXPECT_LT(handoff_ns[kHandoffs / 2], 2'000'000u)
+      << "median grant-to-wake handoff reached the 5 ms poll";
+}
+
+TEST_F(LockManagerTest, RecordNamesSpreadAcrossShards) {
+  // Contention relief rests on record names landing evenly on the shards.
+  std::vector<size_t> per_shard(LockManager::kNameShards, 0);
+  constexpr int kPages = 400;
+  constexpr int kSlots = 25;
+  for (int page = 0; page < kPages; ++page) {
+    for (int slot = 0; slot < kSlots; ++slot) {
+      LockName n = LockName::Record(
+          1, Rid{static_cast<PageId>(page), static_cast<uint16_t>(slot)});
+      per_shard[LockManager::ShardIndex(n)]++;
+    }
+  }
+  const double mean =
+      static_cast<double>(kPages * kSlots) / LockManager::kNameShards;
+  EXPECT_GT(*std::min_element(per_shard.begin(), per_shard.end()), 0u);
+  EXPECT_LE(*std::max_element(per_shard.begin(), per_shard.end()), 2 * mean);
 }
 
 TEST_F(LockManagerTest, StressManyThreadsManyNames) {

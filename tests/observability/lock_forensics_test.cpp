@@ -10,7 +10,9 @@
 //    waits-for edge endpoint exists, every blocked txn's queue is present),
 //    and under raw 4-thread lock/unlock churn its queues stay sorted and
 //    every granted holder is listed in `txns`;
-//  - the waits-for DOT export is a well-formed digraph.
+//  - the waits-for DOT export is a well-formed digraph;
+//  - Snapshot() latches the highest-index name shard too (TSan reports a
+//    race with lock churn there if it does not).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -407,6 +409,40 @@ TEST(LockForensics, SnapshotSortedAndCompleteUnderChurn) {
   }
   stop = true;
   for (auto& t : workers) t.join();
+  EXPECT_TRUE(lm.Snapshot().queues.empty());
+}
+
+TEST(LockForensics, SnapshotLatchesTheLastShard) {
+  // Names whose queues live in the highest-index shard, the one an
+  // off-by-one in AllShards would leave unlatched.
+  std::vector<LockName> last;
+  for (PageId page = 0; last.size() < 4; ++page) {
+    LockName n = LockName::Record(1, Rid{page, 0});
+    if (LockManager::ShardIndex(n) == LockManager::kNameShards - 1) {
+      last.push_back(n);
+    }
+  }
+  Metrics metrics;
+  LockManager lm(&metrics);
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    // Each Lock creates the name's queue and each Unlock erases it.
+    for (size_t i = 0; !stop.load(); ++i) {
+      const LockName& n = last[i % last.size()];
+      EXPECT_TRUE(lm.Lock(1, n, LockMode::kX, LockDuration::kManual,
+                          /*conditional=*/false)
+                      .ok());
+      lm.Unlock(1, n);
+    }
+  });
+  for (int i = 0; i < 2000; ++i) {
+    for (const LockQueueInfo& q : lm.Snapshot().queues) {
+      EXPECT_EQ(q.requests.size(), 1u) << q.name.ToString();
+      if (!q.requests.empty()) EXPECT_TRUE(q.requests[0].granted);
+    }
+  }
+  stop = true;
+  churn.join();
   EXPECT_TRUE(lm.Snapshot().queues.empty());
 }
 

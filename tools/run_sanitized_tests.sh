@@ -28,11 +28,13 @@
 # page table (atomic pins, CLOCK eviction) and its sharded miss and
 # write-back path (loading markers, victim claims and write-backs, each in
 # the page's own shard with no pool-wide mutex; pool_hammer_test, including
-# DirtyPageTable() snapshots racing evictions), the lock table (deadlock
-# detection and Snapshot() across shards; lock_forensics_test,
-# lock_manager_test) and the transaction table (checkpoint snapshots
-# against concurrent appends; checkpoint_test) — see docs/CONCURRENCY.md,
-# "Lock order and sharding".
+# DirtyPageTable() snapshots racing evictions), the lock table (256 name
+# shards guarded by RwLatch words, not mutexes: TSan checks the data races
+# across them through the words' acquire/release edges, but not their lock
+# order; deadlock detection and Snapshot() across shards, waiter wake-ups;
+# lock_forensics_test, lock_manager_test) and the transaction table
+# (checkpoint snapshots against concurrent appends; checkpoint_test) — see
+# docs/CONCURRENCY.md, "Lock order and sharding".
 # Stress-test seed lists can be narrowed for quicker sanitized runs:
 #   ARIESIM_STRESS_SEEDS=1-4 tools/run_sanitized_tests.sh thread
 set -euo pipefail
