@@ -1,6 +1,10 @@
 #include "buffer/buffer_pool.h"
 
+#include <sys/mman.h>
+
 #include <atomic>
+#include <new>
+#include <thread>
 
 #include "common/clock.h"
 #include "common/commit_breakdown.h"
@@ -47,6 +51,10 @@ BufferPool::BufferPool(DiskManager* disk, LogManager* log, size_t frames,
       metrics_(metrics),
       page_size_(disk->page_size()),
       verify_checksums_(verify_checksums) {
+  void* dir = mmap(nullptr, kDirBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (dir == MAP_FAILED) throw std::bad_alloc();
+  chunks_ = static_cast<std::atomic<Slot*>*>(dir);
   frames_.reserve(frames);
   for (size_t i = 0; i < frames; ++i) {
     auto f = std::make_unique<Frame>();
@@ -54,74 +62,140 @@ BufferPool::BufferPool(DiskManager* disk, LogManager* log, size_t frames,
     free_frames_.push_back(f.get());
     frames_.push_back(std::move(f));
   }
+  free_count_.store(frames, std::memory_order_relaxed);
 }
 
-Frame* BufferPool::PinLocked(Shard& sh, PageId id) {
-  auto it = sh.table.find(id);
-  if (it == sh.table.end()) return nullptr;
-  it->second->pin_count.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+BufferPool::~BufferPool() { munmap(chunks_, kDirBytes); }
+
+BufferPool::Slot* BufferPool::SlotOf(PageId id, bool create) {
+  std::atomic<Slot*>& entry = chunks_[id >> kChunkBits];
+  Slot* chunk = entry.load(std::memory_order_acquire);
+  if (chunk == nullptr && create) {
+    std::lock_guard<std::mutex> lk(chunk_mu_);
+    if ((chunk = entry.load(std::memory_order_relaxed)) == nullptr) {
+      chunk_store_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+      chunk = chunk_store_.back().get();
+      entry.store(chunk, std::memory_order_release);
+    }
+  }
+  return chunk == nullptr ? nullptr : &chunk[id & (kChunkSlots - 1)];
+}
+
+Frame* BufferPool::TryPin(PageId id) {
+  Slot* slot = SlotOf(id, false);
+  Frame* f = slot ? slot->load(std::memory_order_acquire) : nullptr;
+  if (!IsFrame(f)) return nullptr;
+  // A pin landing after an unmap's CAS sees a negative count or, through
+  // the acquire, the cleared slot; one landing before fails the CAS.
+  if (f->pin_count.fetch_add(1, std::memory_order_acquire) >= 0 &&
+      slot->load(std::memory_order_acquire) == f) {
+    return f;
+  }
+  f->pin_count.fetch_sub(1, std::memory_order_release);
+  return nullptr;
+}
+
+Frame* BufferPool::Mapped(PageId id) {
+  Slot* slot = SlotOf(id, false);
+  Frame* f = slot ? slot->load(std::memory_order_relaxed) : nullptr;
+  return IsFrame(f) ? f : nullptr;
+}
+
+bool BufferPool::Unmap(Shard& sh, PageId id, Frame* f, int bias) {
+  if (Mapped(id) != f) return false;
+  int unpinned = 0;  // acquire: the last holder's writes reach write-back
+  if (!f->pin_count.compare_exchange_strong(unpinned, kEvicting,
+                                            std::memory_order_acquire,
+                                            std::memory_order_relaxed)) {
+    return false;
+  }
+  SlotOf(id, false)->store(nullptr, std::memory_order_relaxed);
+  (f->prev_mapped != nullptr ? f->prev_mapped->next_mapped : sh.mapped) =
+      f->next_mapped;
+  if (f->next_mapped != nullptr) f->next_mapped->prev_mapped = f->prev_mapped;
+  f->pin_count.fetch_add(bias - kEvicting, std::memory_order_release);
+  return true;
+}
+
+void BufferPool::Publish(Shard& sh, Slot* slot, Frame* f) {
+  f->prev_mapped = nullptr;
+  f->next_mapped = sh.mapped;
+  if (sh.mapped != nullptr) sh.mapped->prev_mapped = f;
+  sh.mapped = f;
+  slot->store(f, std::memory_order_release);
+}
+
+void BufferPool::PushFree(Frame* f) {
+  std::lock_guard<std::mutex> flk(free_mu_);
+  free_frames_.push_back(f);
+  free_count_.store(free_frames_.size(), std::memory_order_relaxed);
 }
 
 Frame* BufferPool::ClaimFrame() {
-  {
+  if (free_count_.load(std::memory_order_relaxed) != 0) {
     std::lock_guard<std::mutex> flk(free_mu_);
     if (!free_frames_.empty()) {
       Frame* f = free_frames_.back();
       free_frames_.pop_back();
-      f->pin_count.store(1, std::memory_order_relaxed);
+      free_count_.store(free_frames_.size(), std::memory_order_relaxed);
+      f->pin_count.fetch_add(1, std::memory_order_acquire);
       return f;
     }
   }
-  // Two passes clear every reference bit; a third ignores them, so hits
+  // Two passes clear every reference bit; later ones ignore them, so hits
   // racing the sweep cannot starve a miss while an unpinned frame exists.
+  // Passes after the third yield each batch: when a pool is not much larger
+  // than its thread count, the one unpinned frame can move between looks.
   const size_t n = frames_.size();
-  for (size_t step = 0; step < 3 * n; ++step) {
-    Frame* f = frames_[clock_hand_.fetch_add(1, std::memory_order_relaxed) % n]
-                   .get();
-    if (f->pin_count.load(std::memory_order_relaxed) != 0) continue;
-    if (f->referenced.exchange(false, std::memory_order_relaxed) &&
-        step < 2 * n) {
-      continue;
+  for (size_t step = 0; step < kSweepPasses * n; step += kClockBatch) {
+    if (step >= 3 * n) std::this_thread::yield();
+    const size_t hand =
+        clock_hand_.fetch_add(kClockBatch, std::memory_order_relaxed);
+    for (size_t i = 0; i < kClockBatch; ++i) {
+      Frame* f = frames_[(hand + i) % n].get();
+      if (f->pin_count.load(std::memory_order_relaxed) != 0) continue;
+      if (f->referenced.load(std::memory_order_relaxed) && step < 2 * n) {
+        f->referenced.store(false, std::memory_order_relaxed);
+        continue;
+      }
+      const PageId pid = f->page_id.load(std::memory_order_relaxed);
+      if (pid == kInvalidPageId) continue;  // free, or a failed load's
+      Shard& sh = ShardFor(pid);
+      std::lock_guard<std::mutex> slk(sh.mu);
+      if (!Unmap(sh, pid, f, 1)) continue;
+      // Same critical section as the unmap: the page never vanishes from
+      // both its slot and writing_back, so no fetch can reload a stale
+      // image and no DirtyPageTable() can miss it.
+      if (f->dirty) sh.writing_back.emplace(pid, f->rec_lsn);
+      return f;
     }
-    // New pins happen only under the shard mutex, so a zero count read here
-    // stays zero once the frame is unmapped. The acquire pairs with Unpin's
-    // release: the last holder's writes are visible to the write-back.
-    const PageId pid = f->page_id.load(std::memory_order_relaxed);
-    Shard& sh = ShardFor(pid);
-    std::lock_guard<std::mutex> slk(sh.mu);
-    auto it = sh.table.find(pid);
-    if (it == sh.table.end() || it->second != f ||
-        f->pin_count.load(std::memory_order_acquire) != 0) {
-      continue;
-    }
-    sh.table.erase(it);
-    f->pin_count.store(1, std::memory_order_relaxed);
-    // Same critical section as the unmap: the page never vanishes from
-    // both the table and writing_back, so no fetch can reload a stale
-    // image and no DirtyPageTable() can miss it.
-    if (f->dirty) sh.writing_back.emplace(pid, f->rec_lsn);
-    return f;
   }
   return nullptr;
 }
 
 Result<Frame*> BufferPool::FetchFrame(PageId id) {
+  if (Frame* f = TryPin(id)) return f;
   Shard& sh = ShardFor(id);
+  Slot* slot = nullptr;
   bool pending = false;
   Lsn pending_rec_lsn = kNullLsn;
   {
     std::unique_lock<std::mutex> lk(sh.mu);
+    slot = SlotOf(id, true);
     while (true) {
-      if (Frame* f = PinLocked(sh, id)) return f;
+      Frame* f = slot->load(std::memory_order_relaxed);
+      if (IsFrame(f)) {  // not unmapping: that needs the mutex
+        f->pin_count.fetch_add(1, std::memory_order_relaxed);
+        return f;
+      }
       // Wait while someone else is loading this page OR while an evicted
       // dirty copy of it is still being written back — re-reading the page
       // from disk before the write-back lands would resurrect a stale
       // version and silently lose committed updates.
-      if (sh.loading.count(id) == 0 && sh.writing_back.count(id) == 0) break;
+      if (f == nullptr && sh.writing_back.count(id) == 0) break;
       sh.cv.wait(lk);
     }
-    sh.loading.insert(id);
+    slot->store(LoadingMark(), std::memory_order_relaxed);
     // Instant restart: the quarantine keeps the schedule stable until this
     // fetch resolves it.
     if (auto pit = sh.pending_redo.find(id); pit != sh.pending_redo.end()) {
@@ -132,7 +206,7 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
   Frame* victim = ClaimFrame();
   if (victim == nullptr) {
     std::lock_guard<std::mutex> lk(sh.mu);
-    sh.loading.erase(id);
+    slot->store(nullptr, std::memory_order_relaxed);
     sh.cv.notify_all();
     return Status::Busy("buffer pool exhausted (all frames pinned)");
   }
@@ -159,8 +233,8 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
       // prefix may not even be durable yet. No other thread can have
       // reloaded the page meanwhile: its id sat in writing_back until this
       // same critical section.
-      old.table[old_id] = victim;
-      victim->pin_count.store(0, std::memory_order_release);
+      Publish(old, SlotOf(old_id, false), victim);
+      victim->pin_count.fetch_sub(1, std::memory_order_release);
     }
     old.cv.notify_all();
   }
@@ -192,8 +266,8 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
   bool repaired = false;
   if (!s.ok() && victim_persisted && repair_ &&
       (s.code() == Code::kCorruption || s.code() == Code::kIOError)) {
-    // Online quarantine + repair: `id` still sits in its shard's `loading`
-    // set, so no guard on this page exists anywhere and no new log records
+    // Online quarantine + repair: `id`'s slot still holds the loading
+    // mark, so no guard on this page exists anywhere and no new log records
     // for it can be appended while the handler replays its history into
     // the claimed frame. Other pages keep flowing normally.
     ARIES_TRACE_SPAN(repair_span, "bp.repair", TraceCat::kBuffer, id);
@@ -237,14 +311,15 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
     victim->page_id.store(kInvalidPageId, std::memory_order_relaxed);
     victim->dirty = false;
     victim->rec_lsn = kNullLsn;
-    victim->pin_count.store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> flk(free_mu_);
-    free_frames_.push_back(victim);
+    victim->pin_count.fetch_sub(1, std::memory_order_release);
+    PushFree(victim);
   }
   std::lock_guard<std::mutex> lk(sh.mu);
-  sh.loading.erase(id);
   sh.cv.notify_all();
-  if (!s.ok()) return s;
+  if (!s.ok()) {
+    slot->store(nullptr, std::memory_order_relaxed);
+    return s;
+  }
   victim->page_id.store(id, std::memory_order_relaxed);
   victim->dirty = false;
   victim->rec_lsn = kNullLsn;
@@ -260,7 +335,7 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
       metrics_->pages_recovered_lazily.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  sh.table[id] = victim;
+  Publish(sh, slot, victim);
   return victim;
 }
 
@@ -305,9 +380,8 @@ void BufferPool::NoteDirty(Frame* frame, Lsn lsn) {
 void BufferPool::NoteDirtyById(PageId id, Lsn lsn) {
   Shard& sh = ShardFor(id);
   std::lock_guard<std::mutex> lk(sh.mu);
-  auto it = sh.table.find(id);
-  if (it == sh.table.end()) return;  // caller will dirty it on apply
-  Frame* f = it->second;
+  Frame* f = Mapped(id);
+  if (f == nullptr) return;  // caller will dirty it on apply
   if (!f->dirty) {
     f->dirty = true;
     f->rec_lsn = lsn;
@@ -368,9 +442,8 @@ Status BufferPool::FlushPage(PageId id) {
   Frame* f;
   {
     std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.table.find(id);
-    if (it == sh.table.end() || !it->second->dirty) return Status::OK();
-    f = it->second;
+    f = Mapped(id);
+    if (f == nullptr || !f->dirty) return Status::OK();
     f->pin_count.fetch_add(1, std::memory_order_relaxed);
   }
   // Exclusive: no torn in-flight update, and WriteFrame's checksum stamp
@@ -399,18 +472,15 @@ Status BufferPool::FlushAll() {
 Status BufferPool::DiscardPage(PageId id) {
   Shard& sh = ShardFor(id);
   std::lock_guard<std::mutex> lk(sh.mu);
-  auto it = sh.table.find(id);
-  if (it == sh.table.end()) return Status::OK();
-  Frame* f = it->second;
-  if (f->pin_count.load(std::memory_order_acquire) > 0) {
+  Frame* f = Mapped(id);
+  if (f == nullptr) return Status::OK();
+  if (!Unmap(sh, id, f, 0)) {
     return Status::Busy("cannot discard pinned page " + std::to_string(id));
   }
-  sh.table.erase(it);
   f->page_id.store(kInvalidPageId, std::memory_order_relaxed);
   f->dirty = false;
   f->rec_lsn = kNullLsn;
-  std::lock_guard<std::mutex> flk(free_mu_);  // shard -> free_mu_, never back
-  free_frames_.push_back(f);
+  PushFree(f);  // shard -> free_mu_, never back
   return Status::OK();
 }
 
@@ -449,29 +519,31 @@ bool BufferPool::NextPendingRedo(PageId* id) {
 void BufferPool::DropAll() {
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh.mu);
-    for (auto& [id, f] : sh.table) {
+    for (Frame* f = sh.mapped; f != nullptr; f = f->next_mapped) {
+      SlotOf(f->page_id, false)->store(nullptr, std::memory_order_relaxed);
       f->page_id.store(kInvalidPageId, std::memory_order_relaxed);
-      f->pin_count.store(0, std::memory_order_relaxed);
+      f->pin_count.store(0, std::memory_order_relaxed);  // quiesced
       f->dirty = false;
       f->rec_lsn = kNullLsn;
     }
-    sh.table.clear();
+    sh.mapped = nullptr;
     sh.pending_redo.clear();
   }
   std::lock_guard<std::mutex> flk(free_mu_);
   free_frames_.clear();
   for (auto& f : frames_) free_frames_.push_back(f.get());
+  free_count_.store(free_frames_.size(), std::memory_order_relaxed);
 }
 
 std::vector<std::pair<PageId, Lsn>> BufferPool::DirtyPageTable() {
   std::vector<std::pair<PageId, Lsn>> dpt;
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh.mu);
-    for (auto& [id, f] : sh.table) {
-      if (f->dirty) dpt.emplace_back(id, f->rec_lsn);
+    for (Frame* f = sh.mapped; f != nullptr; f = f->next_mapped) {
+      if (f->dirty) dpt.emplace_back(f->page_id, f->rec_lsn);
     }
     // Evicted dirty frames whose write-back is still in flight are out of
-    // the table but not yet durable; count them as dirty so a concurrent
+    // their slots but not yet durable; count them as dirty so a concurrent
     // fuzzy checkpoint stays conservative. If the write-back succeeds the
     // extra entry merely costs redo a few page_lsn checks; if it fails the
     // entry is the only thing keeping the page's recLSN in the checkpoint.

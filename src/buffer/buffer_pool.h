@@ -15,7 +15,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/contention.h"
@@ -35,12 +34,14 @@ struct Frame {
   /// Atomic so the CLOCK sweep can find the shard to lock; changes only
   /// while the frame is unmapped and pinned by the thread that claimed it.
   std::atomic<PageId> page_id{kInvalidPageId};
-  /// Incremented only under the shard mutex of the page the frame is mapped
-  /// to, or by the thread claiming it; Unpin decrements lock-free.
+  /// A hit pins lock-free, kept if the count was >= 0 and the slot still
+  /// holds the frame; unmaps CAS 0 -> kEvicting, then move it by deltas.
   std::atomic<int> pin_count{0};
   std::atomic<bool> referenced{false};  ///< CLOCK reference bit
   bool dirty = false;      // guarded by the shard of the frame's page
   Lsn rec_lsn = kNullLsn;  ///< LSN that first dirtied the page (for the DPT)
+  /// The shard's list of mapped frames, guarded like `dirty`.
+  Frame *prev_mapped = nullptr, *next_mapped = nullptr;
   alignas(64) RwLatch latch;  // off the pin counter's cache line
 };
 
@@ -79,6 +80,7 @@ class BufferPool {
  public:
   BufferPool(DiskManager* disk, LogManager* log, size_t frames,
              Metrics* metrics, bool verify_checksums);
+  ~BufferPool();
 
   /// Paranoid mode (tests): track the newest page_LSN written to disk and
   /// the newest page_LSN ever observed in memory per page; fail fast on a
@@ -118,7 +120,7 @@ class BufferPool {
 
   /// Online media recovery hook: called from a fetch miss whose read failed
   /// its checksum (or kept failing with an I/O error past disk retries),
-  /// with the page still quarantined in `loading` — no guard on it can
+  /// with the page still quarantined by its loading mark — no guard on it can
   /// exist, so no new log records for it can be appended. The handler
   /// rebuilds the page image into the supplied frame buffer (and persists
   /// it); on OK the fetch proceeds as if the read had succeeded. An empty
@@ -130,8 +132,8 @@ class BufferPool {
 
   /// Instant-restart hook (docs/ARCHITECTURE.md, "Instant restart"): called
   /// from a fetch miss on a page marked pending-redo, after the disk image
-  /// passed its checksum, with the page still quarantined in `loading`.
-  /// Arguments: page id, frame buffer holding the disk
+  /// passed its checksum, with the page still quarantined by its loading
+  /// mark. Arguments: page id, frame buffer holding the disk
   /// image, the scheduled recLSN, and an out-param for the first LSN the
   /// replay applied (kNullLsn if the image was already current). On OK the
   /// page leaves the pending set and the fetch proceeds; on error the fetch
@@ -171,16 +173,14 @@ class BufferPool {
  private:
   friend class PageGuard;
 
-  /// One slice of the pool. Every piece of a page's state lives in the
-  /// shard its id hashes to, and no code path holds two shards at once, so
-  /// DirtyPageTable() can read the shards one at a time.
+  /// One slice of the pool. A page's slot and all its state change only
+  /// under the mutex of the shard its id hashes to, and no code path holds
+  /// two shards at once, so DirtyPageTable() reads the shards one at a time.
   struct alignas(64) Shard {
     std::mutex mu;
-    std::condition_variable cv;  ///< a `loading`/`writing_back` entry left
-    std::unordered_map<PageId, Frame*> table;
-    /// Pages a fetch miss is reading (and maybe repairing or replaying):
-    /// the quarantine. Other fetchers of the page wait on `cv`.
-    std::unordered_set<PageId> loading;
+    std::condition_variable cv;  ///< a loading mark or `writing_back` left
+    /// Head of the frames mapped to this shard's pages (DirtyPageTable()).
+    Frame* mapped = nullptr;
     /// Evicted dirty frames still being written back, keyed to rec_lsn.
     /// Fetches must not reload them from disk until the write lands, and
     /// DirtyPageTable() must report them: a failed write-back re-maps the
@@ -188,20 +188,43 @@ class BufferPool {
     /// redo skip its records between the true recLSN and its next update.
     std::unordered_map<PageId, Lsn> writing_back;
     /// Instant restart: pages awaiting first-touch redo, keyed to their
-    /// analysis recLSN; disjoint from `table` (the fetch miss erases the
-    /// entry). DirtyPageTable() reports them so a checkpoint taken while the
-    /// debt drains keeps their recLSNs, making a crash during instant
-    /// restart recoverable.
+    /// analysis recLSN; never mapped (the fetch miss erases the entry).
+    /// DirtyPageTable() reports them so a checkpoint taken while the debt
+    /// drains keeps their recLSNs, making a crash during instant restart
+    /// recoverable.
     std::unordered_map<PageId, Lsn> pending_redo;
   };
   static constexpr size_t kShards = 64;
   Shard& ShardFor(PageId id) {
     return shards_[(id * 0x9e3779b97f4a7c15ull) >> 58];
   }
-  /// Pins and returns the frame mapped to `id`, or nullptr. Holds sh.mu.
-  static Frame* PinLocked(Shard& sh, PageId id);
+  static constexpr int kEvicting = -(1 << 30);  // pin_count while unmapping
+
+  /// The page table: one slot per page id, in chunks allocated on a miss.
+  /// A slot is empty, holds LoadingMark() (a miss is reading, repairing or
+  /// replaying the page: the quarantine; other fetchers wait on `cv`), or
+  /// the page's frame, stored (release) after the frame's fields are set.
+  /// Slots change only under the page's shard mutex.
+  using Slot = std::atomic<Frame*>;
+  static constexpr int kChunkBits = 12;  // 4096 slots = 32 KiB a chunk
+  static constexpr PageId kChunkSlots = PageId{1} << kChunkBits;
+  static constexpr size_t kDirBytes =
+      (size_t{1} << (32 - kChunkBits)) * sizeof(std::atomic<Slot*>);
+  static Frame* LoadingMark() { return reinterpret_cast<Frame*>(uintptr_t{1}); }
+  static bool IsFrame(Frame* f) { return f != nullptr && f != LoadingMark(); }
+  Slot* SlotOf(PageId id, bool create);  // nullptr: no chunk and !create
+  Frame* TryPin(PageId id);  // lock-free hit: the frame pinned, or nullptr
+  Frame* Mapped(PageId id);  // the frame mapped to `id`; holds shard mutex
+  /// Unmap `f` from `id`'s slot if it is there and unpinned (caller holds
+  /// the shard mutex), leaving the count at `bias` plus hitters' transients.
+  bool Unmap(Shard& sh, PageId id, Frame* f, int bias);
+  /// Map `f` (fields set) into `slot`; caller holds the shard mutex.
+  void Publish(Shard& sh, Slot* slot, Frame* f);
+  void PushFree(Frame* f);
+  static constexpr size_t kClockBatch = 8;  // frames per hand fetch_add
+  static constexpr size_t kSweepPasses = 16;  // before ClaimFrame gives up
   /// Takes a free frame, or CLOCK-sweeps for an unpinned one and unmaps it
-  /// from its shard (moving a dirty one into that shard's `writing_back`).
+  /// from its slot (moving a dirty one into its shard's `writing_back`).
   /// The frame comes back pinned once; nullptr if every frame is pinned.
   Frame* ClaimFrame();
 
@@ -223,11 +246,15 @@ class BufferPool {
   bool verify_checksums_;
 
   std::array<Shard, kShards> shards_;
+  std::atomic<Slot*>* chunks_ = nullptr;  // mmap'd; untouched pages are free
+  std::mutex chunk_mu_;          // guards chunk_store_; taken to add a chunk
+  std::vector<std::unique_ptr<Slot[]>> chunk_store_;
   std::vector<std::unique_ptr<Frame>> frames_;
   std::atomic<size_t> clock_hand_{0};
   PageContention latch_contention_;
   std::mutex free_mu_;  // guards free_frames_ only
   std::vector<Frame*> free_frames_;
+  std::atomic<size_t> free_count_{0};  // free_frames_.size(), read unlocked
   bool paranoid_ = false;
   std::mutex paranoid_mu_;
   std::unordered_map<PageId, Lsn> last_written_;   // newest LSN on disk

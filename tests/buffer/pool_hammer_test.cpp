@@ -5,14 +5,16 @@
 //    (a stale reload shows up as a counter behind the shadow);
 //  - S readers, two draws in three, check the counter never goes backwards.
 // PoolIdentityTest runs four readers over pages stamped with their own id,
-// through a pool a quarter of the working set: hits on the sharded page
-// table race CLOCK evictions, and a frame remapped while pinned shows up as
-// a guard returning another page's id or bytes.
+// through a pool a quarter of the working set: lock-free hits race CLOCK
+// evictions, and a frame remapped while pinned shows up as a guard
+// returning another page's id or bytes.
 // DirtyPageTableTest runs four X writers through an 8-frame pool while a
 // fifth thread loops DirtyPageTable(): a page missing from a snapshot must
 // already be on disk at least as new as its last update completed before
 // the snapshot, or a fuzzy checkpoint taken then would let restart redo
-// skip that update.
+// skip that update. Its second case fails an eviction write-back after
+// every snapshot, so frames leaving `writing_back` to be mapped again race
+// the snapshot loop.
 // Seed list overridable via ARIESIM_STRESS_SEEDS ("7", "1,2,9", "1-32").
 #include <gtest/gtest.h>
 
@@ -181,11 +183,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PoolIdentityTest,
 
 class DirtyPageTableTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(DirtyPageTableTest, PagesAbsentFromASnapshotAreOnDisk) {
+// With `fault` set, writers skip fetches that fail with its IOError.
+void CheckSnapshotsAgainstDisk(uint64_t seed, FaultInjector* fault) {
   constexpr int kWriters = 4;
   constexpr int kDptPages = 32;
   constexpr int kWrites = 20000;
-  const uint64_t seed = GetParam();
   TempDir dir("bp_dpt");
   Metrics m;
   DiskManager disk(dir.path() + "/data.db", 512, &m);
@@ -202,6 +204,7 @@ TEST_P(DirtyPageTableTest, PagesAbsentFromASnapshotAreOnDisk) {
     g.value().MarkDirty(1);
   }
   ASSERT_OK(pool.FlushAll());
+  pool.SetFaultInjector(fault);
 
   // done[p]: the newest page_LSN of page p whose guard has been released.
   std::vector<std::atomic<Lsn>> done(kDptPages);
@@ -215,6 +218,7 @@ TEST_P(DirtyPageTableTest, PagesAbsentFromASnapshotAreOnDisk) {
       Lsn lsn;
       {
         auto g = pool.FetchPage(p, LatchMode::kExclusive);
+        if (fault != nullptr && g.status().code() == Code::kIOError) continue;
         ASSERT_TRUE(g.ok()) << g.status().ToString();
         lsn = next_lsn.fetch_add(1);
         g.value().MarkDirty(lsn);
@@ -245,6 +249,10 @@ TEST_P(DirtyPageTableTest, PagesAbsentFromASnapshotAreOnDisk) {
     listed.assign(kDptPages, false);
     for (auto& [id, rec_lsn] : pool.DirtyPageTable()) listed[id] = true;
     ++snapshots;
+    if (fault != nullptr) {
+      fault->Arm({.kind = FaultKind::kTransientError,
+                  .site = FaultSite::kEvictWrite});
+    }
     for (PageId p = 0; p < kDptPages; ++p) {
       if (listed[p] || on_disk[p] >= floor[p]) continue;
       ++absent_checked;
@@ -260,6 +268,18 @@ TEST_P(DirtyPageTableTest, PagesAbsentFromASnapshotAreOnDisk) {
   EXPECT_GT(absent_checked, 0u) << "no page left the DPT after an update";
   EXPECT_GT(m.pages_written.load(), static_cast<uint64_t>(kDptPages))
       << "no eviction write-backs";
+  if (fault != nullptr) {
+    EXPECT_GT(fault->fires(), 0u) << "no failed write-back";
+  }
+}
+
+TEST_P(DirtyPageTableTest, PagesAbsentFromASnapshotAreOnDisk) {
+  CheckSnapshotsAgainstDisk(GetParam(), nullptr);
+}
+
+TEST_P(DirtyPageTableTest, FailedWriteBacksStayInTheSnapshot) {
+  FaultInjector fault;
+  CheckSnapshotsAgainstDisk(GetParam(), &fault);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DirtyPageTableTest,

@@ -56,6 +56,27 @@ TEST(Crc32cTest, HardwareMatchesTableOnRandomLengthsAndOffsets) {
   }
 }
 
+// The hardware path runs inputs of 3 x 1360 bytes or more as three
+// interleaved streams joined by zero-shift tables; check the lengths around
+// each round boundary, a page body (4092), every alignment and a nonzero
+// starting crc.
+TEST(Crc32cTest, StripeBoundariesMatchTable) {
+  constexpr size_t kRound = 3 * 1360;
+  std::mt19937_64 rng(11);
+  std::vector<char> buf(2 * kRound + 7 + 8);
+  for (char& c : buf) c = static_cast<char>(rng());
+  for (size_t len : {kRound - 1, kRound, kRound + 1, 2 * kRound + 7,
+                     size_t{4092}}) {
+    for (size_t off = 0; off < 8; ++off) {
+      for (uint32_t init : {0u, 0x9e3779b9u}) {
+        ASSERT_EQ(crc32c::Value(buf.data() + off, len, init),
+                  crc32c::TableValue(buf.data() + off, len, init))
+            << "offset " << off << " length " << len << " init " << init;
+      }
+    }
+  }
+}
+
 TEST(Crc32cTest, ChainedSplitsMatchWholeBuffer) {
   std::mt19937_64 rng(7);
   std::vector<char> buf(8192);

@@ -25,10 +25,11 @@
 # across enable flips) — the TSan leg is what certifies them
 # data-race-free (see docs/OBSERVABILITY.md). It also certifies the sharded
 # tables that keep a point read off every global mutex: the buffer pool's
-# page table (atomic pins, CLOCK eviction) and its sharded miss and
-# write-back path (loading markers, victim claims and write-backs, each in
-# the page's own shard with no pool-wide mutex; pool_hammer_test, including
-# DirtyPageTable() snapshots racing evictions), the lock table (256 name
+# page table (atomic slots, lock-free pins racing CLOCK unmaps) and its
+# sharded miss and write-back path (loading marks, victim claims and
+# write-backs, each in the page's own shard with no pool-wide mutex;
+# pool_hammer_test, including DirtyPageTable() snapshots racing evictions
+# and failed write-backs), the lock table (256 name
 # shards guarded by RwLatch words, not mutexes: TSan checks the data races
 # across them through the words' acquire/release edges, but not their lock
 # order; deadlock detection and Snapshot() across shards, waiter wake-ups;
