@@ -75,7 +75,7 @@ void BM_Restart(benchmark::State& state) {
     state.ResumeTiming();
     auto db = std::move(Database::Open(dir, opts).value());
     state.PauseTiming();
-    const RecoveryStats& rs = db->restart_stats();
+    const RestartStats& rs = db->restart_stats();
     state.counters["analysis_records"] =
         benchmark::Counter(static_cast<double>(rs.analysis_records));
     state.counters["redo_applied"] =
@@ -110,7 +110,7 @@ void BM_RestartLosers(benchmark::State& state) {
     state.ResumeTiming();
     auto db = std::move(Database::Open(dir, opts).value());
     state.PauseTiming();
-    const RecoveryStats& rs = db->restart_stats();
+    const RestartStats& rs = db->restart_stats();
     state.counters["undo_records"] =
         benchmark::Counter(static_cast<double>(rs.undo_records));
     state.counters["undo_us"] =
@@ -138,7 +138,7 @@ void BM_RestartCheckpointed(benchmark::State& state) {
     state.ResumeTiming();
     auto db = std::move(Database::Open(dir, opts).value());
     state.PauseTiming();
-    const RecoveryStats& rs = db->restart_stats();
+    const RestartStats& rs = db->restart_stats();
     state.counters["analysis_records"] =
         benchmark::Counter(static_cast<double>(rs.analysis_records));
     state.counters["redo_applied"] =
@@ -197,7 +197,7 @@ void BM_RestartTornTail(benchmark::State& state) {
     state.ResumeTiming();
     auto db = std::move(Database::Open(dir, opts).value());
     state.PauseTiming();
-    const RecoveryStats& rs = db->restart_stats();
+    const RestartStats& rs = db->restart_stats();
     state.counters["analysis_records"] =
         benchmark::Counter(static_cast<double>(rs.analysis_records));
     state.counters["undo_records"] =
@@ -231,7 +231,7 @@ void BM_RestartInstant(benchmark::State& state) {
     state.ResumeTiming();
     auto db = std::move(Database::Open(dir, opts).value());
     state.PauseTiming();
-    const RecoveryStats& rs = db->restart_stats();
+    const RestartStats& rs = db->restart_stats();
     state.counters["analysis_records"] =
         benchmark::Counter(static_cast<double>(rs.analysis_records));
     state.counters["lazy_pages_scheduled"] =
@@ -303,7 +303,7 @@ Row Measure(const std::string& dir, int rows, bool instant) {
   (void)db->Commit(txn);
   r.ttfc_us = NowUs() - t0;
   r.breakdown = benchutil::CommitBreakdownSnap::Take(db.get());
-  const RecoveryStats& rs = db->restart_stats();
+  const RestartStats& rs = db->restart_stats();
   r.redo_applied = rs.redo_applied;
   r.lazy_scheduled = rs.lazy_pages_scheduled;
   if (instant) {

@@ -49,7 +49,7 @@ struct DatabaseStats {
   std::string locks_json;
   EngineHealth health = EngineHealth::kHealthy;
   std::string health_reason;
-  RecoveryStats restart;  ///< zeroed if this incarnation ran no recovery
+  RestartStats restart;  ///< zeroed if this incarnation ran no recovery
   TraceCounts trace;
   bool tracing_enabled = false;
   /// The previous incarnation's black-box record (annotated with this

@@ -71,11 +71,8 @@ Status RecoveryManager::Analyze(Lsn start, AnalysisResult* out,
   // them are stale and must not be re-seeded (a resurrected committed txn
   // would be undone as a loser).
   std::unordered_set<TxnId> ended;
-  while (true) {
-    Status s = reader.Next(&rec);
-    if (s.IsNotFound()) break;
-    ARIES_RETURN_NOT_OK(s);
-    if (stats != nullptr) stats->analysis_records++;
+  while (reader.Next(&rec).ok()) {
+    stats->analysis_records++;
     switch (rec.type) {
       case LogType::kEndCheckpoint: {
         BufferReader r(rec.payload);
@@ -168,94 +165,97 @@ Status RecoveryManager::Analyze(Lsn start, AnalysisResult* out,
         break;
     }
   }
-  out->end_of_log = reader.position();
   return Status::OK();
 }
 
 Status RecoveryManager::RedoPass(const AnalysisResult& ar, RestartStats* stats) {
   if (ar.dpt.empty()) return Status::OK();
-  Lsn redo_lsn = kNullLsn;
-  for (auto& [page, rec_lsn] : ar.dpt) {
-    if (redo_lsn == kNullLsn || rec_lsn < redo_lsn) redo_lsn = rec_lsn;
-  }
-  if (stats != nullptr) stats->redo_start = redo_lsn;
-
-  LogManager::Reader reader(ctx_->log, redo_lsn);
+  LogManager::Reader reader(ctx_->log, stats->redo_start);
   LogRecord rec;
-  while (true) {
-    Status s = reader.Next(&rec);
-    if (s.IsNotFound()) break;
-    ARIES_RETURN_NOT_OK(s);
+  while (reader.Next(&rec).ok()) {
     if (!rec.IsRedoable() || rec.page_id == kInvalidPageId) continue;
-    if (stats != nullptr) stats->redo_records++;
+    stats->redo_records++;
     auto it = ar.dpt.find(rec.page_id);
-    if (it == ar.dpt.end() || rec.lsn < it->second) {
-      if (ctx_->metrics != nullptr) {
-        ctx_->metrics->redo_records_skipped.fetch_add(1, std::memory_order_relaxed);
+    bool applied = false;
+    if (it != ar.dpt.end() && rec.lsn >= it->second) {
+      auto fetched = ctx_->pool->FetchPage(rec.page_id, LatchMode::kExclusive);
+      if (!fetched.ok()) {
+        if (fetched.status().code() != Code::kCorruption) {
+          return fetched.status();
+        }
+        // Torn on-disk image: rebuild the page from the log. RepairPage rolls
+        // it fully forward, so this record and every later one for the page
+        // is already covered — move on.
+        ARIES_RETURN_NOT_OK(RepairPage(rec.page_id));
+        stats->torn_pages_repaired++;
+        continue;
       }
-      continue;
+      PageGuard page = std::move(fetched).value();
+      ARIES_ASSIGN_OR_RETURN(applied, RedoStep(rec, page.view()));
+      if (applied) page.MarkDirty(rec.lsn);
     }
-    auto fetched = ctx_->pool->FetchPage(rec.page_id, LatchMode::kExclusive);
-    if (!fetched.ok()) {
-      if (fetched.status().code() != Code::kCorruption) {
-        return fetched.status();
-      }
-      // Torn on-disk image: rebuild the page from the log. RepairPage rolls
-      // it fully forward, so this record and every later one for the page
-      // is already covered — move on.
-      ARIES_RETURN_NOT_OK(RepairPage(rec.page_id));
-      if (stats != nullptr) stats->torn_pages_repaired++;
-      continue;
-    }
-    PageGuard page = std::move(fetched).value();
-    if (page.view().page_lsn() >= rec.lsn) {
-      if (ctx_->metrics != nullptr) {
-        ctx_->metrics->redo_records_skipped.fetch_add(1, std::memory_order_relaxed);
-      }
-      continue;  // effect already on the page
-    }
-    ResourceManager* rm = Rm(rec.rm);
-    if (rm == nullptr) {
-      return Status::Corruption("no RM registered for redo: " + rec.ToString());
-    }
-    ARIES_RETURN_NOT_OK(rm->Redo(rec, page.view()));
-    page.MarkDirty(rec.lsn);
-    if (stats != nullptr) stats->redo_applied++;
+    if (applied) stats->redo_applied++;
     if (ctx_->metrics != nullptr) {
-      ctx_->metrics->redo_records_applied.fetch_add(1, std::memory_order_relaxed);
+      (applied ? ctx_->metrics->redo_records_applied
+               : ctx_->metrics->redo_records_skipped)
+          .fetch_add(1, std::memory_order_relaxed);
     }
   }
   return Status::OK();
 }
 
-Status RecoveryManager::UndoOne(Transaction* txn, const LogRecord& rec) {
+Result<bool> RecoveryManager::RedoStep(const LogRecord& rec, PageView v) {
+  if (v.page_lsn() >= rec.lsn) return false;  // effect already on the page
   ResourceManager* rm = Rm(rec.rm);
   if (rm == nullptr) {
-    return Status::Corruption("no RM registered for undo: " + rec.ToString());
+    return Status::Corruption("no RM registered for redo: " + rec.ToString());
   }
-  if (ctx_->metrics != nullptr) {
-    ctx_->metrics->undo_records.fetch_add(1, std::memory_order_relaxed);
+  ARIES_RETURN_NOT_OK(rm->Redo(rec, v));
+  v.set_page_lsn(rec.lsn);
+  return true;
+}
+
+Status RecoveryManager::ReplayPage(PageId page, Lsn from, PageView v,
+                                   Lsn* first_applied) {
+  LogManager::Reader reader(ctx_->log, from);
+  LogRecord rec;
+  while (reader.Next(&rec).ok()) {
+    if (!rec.IsRedoable() || rec.page_id != page) continue;
+    ARIES_ASSIGN_OR_RETURN(bool applied, RedoStep(rec, v));
+    if (applied && *first_applied == kNullLsn) *first_applied = rec.lsn;
   }
-  return rm->Undo(txn, rec);
+  return Status::OK();
+}
+
+Status RecoveryManager::UndoStep(Transaction* txn) {
+  LogRecord rec;
+  ARIES_RETURN_NOT_OK(ctx_->log->ReadRecord(txn->undo_next_lsn(), &rec));
+  if (rec.IsClr()) {
+    txn->set_undo_next_lsn(rec.undo_next_lsn);
+  } else if (rec.type == LogType::kUpdate) {
+    ResourceManager* rm = Rm(rec.rm);
+    if (rm == nullptr) {
+      return Status::Corruption("no RM registered for undo: " + rec.ToString());
+    }
+    if (ctx_->metrics != nullptr) {
+      ctx_->metrics->undo_records.fetch_add(1, std::memory_order_relaxed);
+    }
+    ARIES_RETURN_NOT_OK(rm->Undo(txn, rec));
+    // The CLR written by the RM already advanced undo_next to rec.prev_lsn
+    // via AppendTxnLog; assert-equivalent safety net:
+    if (txn->undo_next_lsn() >= rec.lsn) {
+      txn->set_undo_next_lsn(rec.prev_lsn);
+    }
+  } else {
+    // abort / commit markers: follow the chain.
+    txn->set_undo_next_lsn(rec.prev_lsn);
+  }
+  return Status::OK();
 }
 
 Status RecoveryManager::UndoTransaction(Transaction* txn, Lsn stop_at) {
   while (txn->undo_next_lsn() != kNullLsn && txn->undo_next_lsn() > stop_at) {
-    LogRecord rec;
-    ARIES_RETURN_NOT_OK(ctx_->log->ReadRecord(txn->undo_next_lsn(), &rec));
-    if (rec.IsClr()) {
-      txn->set_undo_next_lsn(rec.undo_next_lsn);
-    } else if (rec.type == LogType::kUpdate) {
-      ARIES_RETURN_NOT_OK(UndoOne(txn, rec));
-      // The CLR written by UndoOne already advanced undo_next to
-      // rec.prev_lsn via AppendTxnLog; assert-equivalent safety net:
-      if (txn->undo_next_lsn() >= rec.lsn) {
-        txn->set_undo_next_lsn(rec.prev_lsn);
-      }
-    } else {
-      // abort / commit markers: follow the chain.
-      txn->set_undo_next_lsn(rec.prev_lsn);
-    }
+    ARIES_RETURN_NOT_OK(UndoStep(txn));
   }
   return Status::OK();
 }
@@ -268,7 +268,7 @@ Status RecoveryManager::UndoPass(const AnalysisResult& ar, RestartStats* stats) 
     Transaction* txn = ctx_->txns->AdoptRestored(id, info.last_lsn, info.undo_next);
     losers.push_back(txn);
   }
-  if (stats != nullptr) stats->loser_txns = losers.size();
+  stats->loser_txns = losers.size();
 
   // Single backward sweep: repeatedly undo the record with the largest LSN
   // across all losers (reverse chronological order, paper §1.2).
@@ -288,19 +288,8 @@ Status RecoveryManager::UndoPass(const AnalysisResult& ar, RestartStats* stats) 
       }
       --test_stop_undo_after_;
     }
-    LogRecord rec;
-    ARIES_RETURN_NOT_OK(ctx_->log->ReadRecord(next->undo_next_lsn(), &rec));
-    if (stats != nullptr) stats->undo_records++;
-    if (rec.IsClr()) {
-      next->set_undo_next_lsn(rec.undo_next_lsn);
-    } else if (rec.type == LogType::kUpdate) {
-      ARIES_RETURN_NOT_OK(UndoOne(next, rec));
-      if (next->undo_next_lsn() >= rec.lsn) {
-        next->set_undo_next_lsn(rec.prev_lsn);
-      }
-    } else {
-      next->set_undo_next_lsn(rec.prev_lsn);
-    }
+    ARIES_RETURN_NOT_OK(UndoStep(next));
+    stats->undo_records++;
   }
   for (Transaction* t : losers) {
     ARIES_RETURN_NOT_OK(ctx_->txns->EndTransaction(t, TxnState::kAborted));
@@ -314,22 +303,14 @@ Status RecoveryManager::UndoPass(const AnalysisResult& ar, RestartStats* stats) 
 
 Status RecoveryManager::RollForwardPage(PageId page, Lsn from) {
   ARIES_RETURN_NOT_OK(ctx_->log->FlushAll());
-  LogManager::Reader reader(ctx_->log, from);
-  LogRecord rec;
-  while (true) {
-    Status s = reader.Next(&rec);
-    if (s.IsNotFound()) break;
-    ARIES_RETURN_NOT_OK(s);
-    if (!rec.IsRedoable() || rec.page_id != page) continue;
-    ARIES_ASSIGN_OR_RETURN(PageGuard guard,
-                           ctx_->pool->FetchPage(page, LatchMode::kExclusive));
-    if (guard.view().page_lsn() >= rec.lsn) continue;
-    ResourceManager* rm = Rm(rec.rm);
-    if (rm == nullptr) {
-      return Status::Corruption("no RM for media redo: " + rec.ToString());
-    }
-    ARIES_RETURN_NOT_OK(rm->Redo(rec, guard.view()));
-    guard.MarkDirty(rec.lsn);
+  ARIES_ASSIGN_OR_RETURN(PageGuard guard,
+                         ctx_->pool->FetchPage(page, LatchMode::kExclusive));
+  Lsn first = kNullLsn;
+  ARIES_RETURN_NOT_OK(ReplayPage(page, from, guard.view(), &first));
+  if (first != kNullLsn) {
+    const Lsn last = guard.view().page_lsn();
+    guard.MarkDirty(first);  // recLSN: the first record replayed
+    guard.MarkDirty(last);
   }
   return Status::OK();
 }
@@ -356,21 +337,8 @@ Status RecoveryManager::RebuildPageImage(PageId page, char* buf) {
   // run concurrently with normal traffic on *other* pages: every redo below
   // touches only this private buffer, and the caller guarantees no new
   // records can be appended for this page while it is quarantined.
-  LogManager::Reader reader(ctx_->log, kLogFilePrologue);
-  LogRecord rec;
-  while (true) {
-    Status s = reader.Next(&rec);
-    if (s.IsNotFound()) break;  // end of log (or torn tail)
-    ARIES_RETURN_NOT_OK(s);
-    if (!rec.IsRedoable() || rec.page_id != page) continue;
-    if (v.page_lsn() >= rec.lsn) continue;
-    ResourceManager* rm = Rm(rec.rm);
-    if (rm == nullptr) {
-      return Status::Corruption("no RM for media redo: " + rec.ToString());
-    }
-    ARIES_RETURN_NOT_OK(rm->Redo(rec, v));
-    v.set_page_lsn(rec.lsn);
-  }
+  Lsn first = kNullLsn;
+  ARIES_RETURN_NOT_OK(ReplayPage(page, kLogFilePrologue, v, &first));
   if (page >= kSpaceMapPages && v.type() == PageType::kInvalid) {
     // The corrupt on-disk image was non-blank, yet the log holds no format
     // record for the page: its history is gone (truncated log). Refusing
@@ -398,98 +366,69 @@ Status RecoveryManager::RepairPage(PageId page) {
 }
 
 Status RecoveryManager::Restart(RestartStats* stats) {
+  return RunRestart(/*instant=*/false, stats);
+}
+
+Status RecoveryManager::RestartInstant(RestartStats* stats) {
+  return RunRestart(/*instant=*/true, stats);
+}
+
+Status RecoveryManager::RunRestart(bool instant, RestartStats* stats) {
   // Always have a stats object so pass timing needs no null checks; copy out
   // to the caller's on every exit (including mid-restart failures).
   RestartStats local;
   if (stats == nullptr) stats = &local;
+  stats->instant = instant;
   const uint64_t t_start = MonotonicNowNs();
   ARIES_TRACE_SPAN(restart_span, "recovery.restart", TraceCat::kRecovery, 0);
+  // One timed, traced restart pass (name and arg feed only the span).
+  auto timed = []([[maybe_unused]] const char* name,
+                  [[maybe_unused]] uint64_t arg, uint64_t* us, auto pass) {
+    ARIES_TRACE_SPAN(span, name, TraceCat::kRecovery, arg);
+    const uint64_t t0 = MonotonicNowNs();
+    Status s = pass();
+    *us = (MonotonicNowNs() - t0) / 1000;
+    return s;
+  };
 
   Lsn start = kLogFilePrologue;
   auto master = ctx_->log->ReadMaster();
   if (master.ok()) start = master.value();
 
   AnalysisResult ar;
-  {
-    ARIES_TRACE_SPAN(span, "recovery.analysis", TraceCat::kRecovery, start);
-    uint64_t t0 = MonotonicNowNs();
-    Status s = Analyze(start, &ar, stats);
-    stats->analysis_us = (MonotonicNowNs() - t0) / 1000;
-    ARIES_RETURN_NOT_OK(s);
-  }
-  // Seed the live page-log index with the reconstructed chains so the
-  // trailing checkpoint (and every later one) persists a correct index;
-  // undo's CLR appends extend it via the WAL append observer.
-  page_index_.Adopt(std::move(ar.chains));
-  {
-    ARIES_TRACE_SPAN(span, "recovery.redo", TraceCat::kRecovery, 0);
-    uint64_t t0 = MonotonicNowNs();
-    Status s = RedoPass(ar, stats);
-    stats->redo_us = (MonotonicNowNs() - t0) / 1000;
-    ARIES_RETURN_NOT_OK(s);
-  }
-  {
-    ARIES_TRACE_SPAN(span, "recovery.undo", TraceCat::kRecovery, 0);
-    uint64_t t0 = MonotonicNowNs();
-    Status s = UndoPass(ar, stats);
-    stats->undo_us = (MonotonicNowNs() - t0) / 1000;
-    ARIES_RETURN_NOT_OK(s);
-  }
-  Status s = TakeCheckpoint();
-  stats->total_us = (MonotonicNowNs() - t_start) / 1000;
-  return s;
-}
-
-Status RecoveryManager::RestartInstant(RestartStats* stats) {
-  RestartStats local;
-  if (stats == nullptr) stats = &local;
-  stats->instant = true;
-  const uint64_t t_start = MonotonicNowNs();
-  ARIES_TRACE_SPAN(restart_span, "recovery.restart", TraceCat::kRecovery, 0);
-
-  Lsn start = kLogFilePrologue;
-  auto master = ctx_->log->ReadMaster();
-  if (master.ok()) start = master.value();
-
-  AnalysisResult ar;
-  {
-    ARIES_TRACE_SPAN(span, "recovery.analysis", TraceCat::kRecovery, start);
-    uint64_t t0 = MonotonicNowNs();
-    Status s = Analyze(start, &ar, stats);
-    stats->analysis_us = (MonotonicNowNs() - t0) / 1000;
-    ARIES_RETURN_NOT_OK(s);
-  }
-  // Freeze the reconstructed chains for LazyRedoPage — immutable until the
-  // next restart, so lazy replays read them without locking — and seed the
-  // live index so post-restart checkpoints persist a correct one.
-  restart_chains_ = ar.chains;
-  page_index_.Adopt(std::move(ar.chains));
-
-  // Instead of the sequential redo pass, schedule every DPT page for
-  // first-touch replay. From here on any FetchPage miss on one of these
-  // pages runs LazyRedoPage inside the fetch quarantine.
+  ARIES_RETURN_NOT_OK(timed("recovery.analysis", start, &stats->analysis_us,
+                            [&] { return Analyze(start, &ar, stats); }));
   for (auto& [page, rec_lsn] : ar.dpt) {
     if (stats->redo_start == kNullLsn || rec_lsn < stats->redo_start) {
       stats->redo_start = rec_lsn;
     }
   }
-  ctx_->pool->MarkPendingRedo(ar.dpt);
-  stats->lazy_pages_scheduled = ar.dpt.size();
-
-  // Loser undo runs eagerly — bounded by loser activity, not log length.
-  // Its page fetches go through the lazy-redo path, so each touched page is
-  // rolled forward on demand before the undo applies on top, exactly the
-  // state the classic redo pass would have produced.
-  {
-    ARIES_TRACE_SPAN(span, "recovery.undo", TraceCat::kRecovery, 0);
-    uint64_t t0 = MonotonicNowNs();
-    Status s = UndoPass(ar, stats);
-    stats->undo_us = (MonotonicNowNs() - t0) / 1000;
-    ARIES_RETURN_NOT_OK(s);
+  // Seed the live page-log index with the reconstructed chains so the
+  // trailing checkpoint (and every later one) persists a correct index;
+  // undo's CLR appends extend it via the WAL append observer. Instant
+  // restart also freezes them for LazyRedoPage — immutable until the next
+  // restart, so lazy replays read them without locking.
+  if (instant) restart_chains_ = ar.chains;
+  page_index_.Adopt(std::move(ar.chains));
+  if (instant) {
+    // Instead of the sequential redo pass, schedule every DPT page for
+    // first-touch replay. From here on any FetchPage miss on one of these
+    // pages runs LazyRedoPage inside the fetch quarantine.
+    ctx_->pool->MarkPendingRedo(ar.dpt);
+    stats->lazy_pages_scheduled = ar.dpt.size();
+  } else {
+    ARIES_RETURN_NOT_OK(timed("recovery.redo", 0, &stats->redo_us,
+                              [&] { return RedoPass(ar, stats); }));
   }
-  // The checkpoint's DPT snapshot includes the still-pending pages (the
-  // pool reports them with their scheduled recLSN), so a crash *during*
-  // instant restart re-marks them on the next open — nested crashes
+  // Instant restart undoes losers eagerly too — bounded by loser activity,
+  // not log length. Its page fetches go through the lazy-redo path, so each
+  // touched page is rolled forward on demand before the undo applies on
+  // top, exactly the state the classic redo pass would have produced.
+  ARIES_RETURN_NOT_OK(timed("recovery.undo", 0, &stats->undo_us,
+                            [&] { return UndoPass(ar, stats); }));
+  // In instant mode the checkpoint's DPT snapshot includes the still-pending
+  // pages (the pool reports them with their scheduled recLSN), so a crash
+  // *during* instant restart re-marks them on the next open — nested crashes
   // converge to the same state as a classic restart.
   Status s = TakeCheckpoint();
   stats->total_us = (MonotonicNowNs() - t_start) / 1000;
@@ -525,13 +464,8 @@ Status RecoveryManager::LazyRedoPage(PageId page, char* buf, Lsn rec_lsn,
         use_chain = false;  // stale / corrupt chain entry
         break;
       }
-      ResourceManager* rm = Rm(rec.rm);
-      if (rm == nullptr) {
-        return Status::Corruption("no RM for lazy redo: " + rec.ToString());
-      }
-      ARIES_RETURN_NOT_OK(rm->Redo(rec, v));
+      ARIES_RETURN_NOT_OK(RedoStep(rec, v).status());
       if (*first_applied == kNullLsn) *first_applied = lsn;
-      v.set_page_lsn(rec.lsn);
     }
   }
   if (!use_chain) {
@@ -542,22 +476,7 @@ Status RecoveryManager::LazyRedoPage(PageId page, char* buf, Lsn rec_lsn,
     // Page-LSN idempotence makes re-applying records the chain path already
     // replayed a no-op, so resuming with a scan mid-way is safe.
     Lsn from = rec_lsn == kNullLsn ? kLogFilePrologue : rec_lsn;
-    LogManager::Reader reader(ctx_->log, from);
-    LogRecord rec;
-    while (true) {
-      Status s = reader.Next(&rec);
-      if (s.IsNotFound()) break;
-      ARIES_RETURN_NOT_OK(s);
-      if (!rec.IsRedoable() || rec.page_id != page) continue;
-      if (v.page_lsn() >= rec.lsn) continue;
-      ResourceManager* rm = Rm(rec.rm);
-      if (rm == nullptr) {
-        return Status::Corruption("no RM for lazy redo: " + rec.ToString());
-      }
-      ARIES_RETURN_NOT_OK(rm->Redo(rec, v));
-      if (*first_applied == kNullLsn) *first_applied = rec.lsn;
-      v.set_page_lsn(rec.lsn);
-    }
+    ARIES_RETURN_NOT_OK(ReplayPage(page, from, v, first_applied));
   }
   return Status::OK();
 }

@@ -6,8 +6,8 @@
 //  - undo: roll back all losers in one backward sweep, writing CLRs (dummy
 //    CLRs already written make completed SMOs and nested top actions
 //    rollback-proof).
-// Normal-processing rollback shares UndoTransaction with the restart undo
-// pass, as in the paper.
+// Normal-processing rollback shares UndoStep with the restart undo pass, as
+// in the paper.
 #pragma once
 
 #include <map>
@@ -56,10 +56,6 @@ struct RestartStats {
            " total=" + std::to_string(total_us) + "us";
   }
 };
-
-/// The restart summary doubles as the per-pass recovery report
-/// (duration + record counts per analysis/redo/undo pass).
-using RecoveryStats = RestartStats;
 
 class RecoveryManager {
  public:
@@ -148,15 +144,24 @@ class RecoveryManager {
     std::unordered_map<TxnId, TxnInfo> txns;
     std::unordered_map<PageId, Lsn> dpt;  // page -> recLSN
     PageLsnChains chains;                 // page -> redoable-LSN chain
-    Lsn end_of_log = kNullLsn;
   };
 
+  /// Restart and RestartInstant share all but the middle: the redo pass or
+  /// pending-redo scheduling. The passes below take a non-null `stats`.
+  Status RunRestart(bool instant, RestartStats* stats);
   Status Analyze(Lsn start, AnalysisResult* out, RestartStats* stats);
   Status RedoPass(const AnalysisResult& ar, RestartStats* stats);
   Status UndoPass(const AnalysisResult& ar, RestartStats* stats);
 
-  /// Undo a single record for `txn`, dispatching to its RM.
-  Status UndoOne(Transaction* txn, const LogRecord& rec);
+  /// The one redo step: unless `v`'s page_LSN covers `rec`, redo it through
+  /// its RM and stamp its LSN. Returns whether it did.
+  Result<bool> RedoStep(const LogRecord& rec, PageView v);
+  /// RedoStep every record for `page` from `from` to the end of the log onto
+  /// `v`; `*first_applied`, if still kNullLsn, gets the first LSN applied.
+  Status ReplayPage(PageId page, Lsn from, PageView v, Lsn* first_applied);
+  /// The one undo step, for rollback and restart undo: move `txn`'s
+  /// UndoNxtLSN past one record, undoing it through its RM if an update.
+  Status UndoStep(Transaction* txn);
 
   ResourceManager* Rm(RmId id) { return rms_[static_cast<int>(id)]; }
 

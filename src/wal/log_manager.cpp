@@ -77,12 +77,10 @@ Status LogManager::Open() {
     next_lsn_ = kLogFilePrologue;
   } else {
     // Scan forward from the prologue to find the end of the valid log.
-    char magic[kLogFilePrologue];
-    if (::pread(fd_, magic, sizeof(magic), 0) != static_cast<ssize_t>(sizeof(magic)) ||
-        DecodeFixed64(magic) != kLogMagic) {
+    if (!LogFileReader::HasPrologue(fd_)) {
       return Status::Corruption("bad log magic");
     }
-    Lsn pos = kLogFilePrologue;
+    Lsn start = kLogFilePrologue;
     // Every byte below the master checkpoint LSN was durably flushed
     // before the master record was written, so the end-of-log walk can
     // start there: open cost is bounded by the checkpoint interval, not
@@ -90,21 +88,16 @@ Status LogManager::Open() {
     // (or below) the checkpoint record — if the record at the master LSN
     // doesn't parse, fall back to the full walk from the prologue.
     Result<Lsn> master = ReadMaster();
-    if (master.ok() && master.value() > kLogFilePrologue &&
-        static_cast<off_t>(master.value()) < st.st_size) {
-      LogRecord probe;
-      if (ReadFromFile(master.value(), &probe).ok()) pos = master.value();
-    }
     LogRecord rec;
-    while (true) {
-      Status s = ReadFromFile(pos, &rec);
-      if (!s.ok()) break;
-      last_lsn_ = pos;
-      pos += rec.SerializedSize();
+    if (master.ok() && master.value() > kLogFilePrologue &&
+        LogFileReader(fd_, master.value()).Next(&rec).ok()) {
+      start = master.value();
     }
-    next_lsn_ = pos;
+    LogFileReader reader(fd_, start);
+    while (reader.Next(&rec).ok()) last_lsn_ = rec.lsn;
+    next_lsn_ = reader.position();
     // Truncate any torn tail so future appends extend a clean prefix.
-    if (::ftruncate(fd_, static_cast<off_t>(pos)) != 0) {
+    if (::ftruncate(fd_, static_cast<off_t>(reader.position())) != 0) {
       return Status::IOError("ftruncate log tail");
     }
   }
@@ -404,29 +397,6 @@ void LogManager::StopFlusher() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-Status LogManager::ReadFromFile(Lsn lsn, LogRecord* out) {
-  char hdr[kLogHeaderSize];
-  ssize_t n = ::pread(fd_, hdr, sizeof(hdr), static_cast<off_t>(lsn));
-  if (n != static_cast<ssize_t>(sizeof(hdr))) {
-    return Status::NotFound("end of log");
-  }
-  uint32_t total_len = DecodeFixed32(hdr);
-  // A zero header is preallocated slack past the last record: a clean end.
-  if (total_len == 0) return Status::NotFound("end of log");
-  if (total_len < kLogHeaderSize || total_len > (1u << 26)) {
-    return Status::Corruption("implausible log record length");
-  }
-  std::string buf(total_len, '\0');
-  n = ::pread(fd_, buf.data(), total_len, static_cast<off_t>(lsn));
-  if (n != static_cast<ssize_t>(total_len)) {
-    return Status::NotFound("torn log tail");
-  }
-  Status s = LogRecord::Parse(buf, out);
-  if (!s.ok()) return s;
-  out->lsn = lsn;
-  return Status::OK();
-}
-
 Status LogManager::ReadRecord(Lsn lsn, LogRecord* out) {
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -439,7 +409,7 @@ Status LogManager::ReadRecord(Lsn lsn, LogRecord* out) {
       return s;
     }
   }
-  return ReadFromFile(lsn, out);
+  return LogFileReader(fd_, lsn).Next(out);
 }
 
 void LogManager::DiscardUnflushed() {
@@ -490,15 +460,7 @@ Result<Lsn> LogManager::ReadMaster() {
 }
 
 Status LogManager::Reader::Next(LogRecord* out) {
-  if (pos_ >= lm_->flushed_lsn_ && pos_ >= lm_->next_lsn_) {
-    return Status::NotFound("end of log");
-  }
-  Status s = lm_->ReadRecord(pos_, out);
-  if (!s.ok()) {
-    // A corrupt record marks the torn end of the durable log.
-    if (s.code() == Code::kCorruption) return Status::NotFound("torn tail");
-    return s;
-  }
+  if (!lm_->ReadRecord(pos_, out).ok()) return Status::NotFound("end of log");
   pos_ += out->SerializedSize();
   return Status::OK();
 }

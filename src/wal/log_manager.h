@@ -10,9 +10,9 @@
 // File layout: when flushes fsync, wal.log is zero-filled ahead of the
 // append point, so a commit's fdatasync overwrites allocated blocks and
 // changes no file size (no file-system journal commit). The durable end of
-// the log is therefore found by the CRC walk — a zero header ends it —
-// never from the file size. Open trims the walk's tail; Close trims the
-// slack, so a cleanly closed log is exactly its records.
+// the log is therefore found by LogFileReader's CRC walk — a zero header
+// ends it — never from the file size. Open trims the walk's tail; Close
+// trims the slack, so a cleanly closed log is exactly its records.
 //
 // Group commit (docs/ARCHITECTURE.md has the full design): every flush
 // writes the whole tail, so one write covers every commit record appended
@@ -105,7 +105,8 @@ class LogManager {
     return flusher_running_.load(std::memory_order_acquire);
   }
 
-  /// Read the record whose LSN is `lsn` (from the tail buffer or the file).
+  /// Read the record whose LSN is `lsn` (from the tail buffer or, through
+  /// LogFileReader, the file). NotFound past the end of the log.
   Status ReadRecord(Lsn lsn, LogRecord* out);
 
   /// Crash simulation: throw away the volatile tail.
@@ -181,7 +182,8 @@ class LogManager {
   class Reader {
    public:
     Reader(LogManager* lm, Lsn start) : lm_(lm), pos_(start) {}
-    /// Returns NotFound at clean end-of-log (including a torn tail).
+    /// Returns NotFound at clean end-of-log (including a torn tail); it
+    /// returns no other error.
     Status Next(LogRecord* out);
     Lsn position() const { return pos_; }
 
@@ -191,7 +193,6 @@ class LogManager {
   };
 
  private:
-  Status ReadFromFile(Lsn lsn, LogRecord* out);
   /// Flush the whole tail; caller holds mu_. Tracks the consecutive-failure
   /// streak and trips the health monitor past the threshold.
   Status FlushLocked();

@@ -1,5 +1,7 @@
 #include "wal/log_record.h"
 
+#include <unistd.h>
+
 #include "util/coding.h"
 #include "util/crc32c.h"
 
@@ -51,6 +53,34 @@ Status LogRecord::Parse(std::string_view data, LogRecord* out) {
     return Status::Corruption("log payload length mismatch");
   }
   out->payload.assign(data.data() + kLogHeaderSize, payload_len);
+  return Status::OK();
+}
+
+bool LogFileReader::HasPrologue(int fd) {
+  char magic[kLogFilePrologue];
+  return ::pread(fd, magic, sizeof(magic), 0) ==
+             static_cast<ssize_t>(sizeof(magic)) &&
+         DecodeFixed64(magic) == kLogMagic;
+}
+
+Status LogFileReader::Next(LogRecord* out) {
+  char hdr[kLogHeaderSize];
+  if (::pread(fd_, hdr, sizeof(hdr), static_cast<off_t>(pos_)) !=
+      static_cast<ssize_t>(sizeof(hdr))) {
+    return Status::NotFound("end of log");
+  }
+  const uint32_t total_len = DecodeFixed32(hdr);
+  if (total_len < kLogHeaderSize || total_len > (1u << 26)) {
+    return Status::NotFound("end of log");  // zero header or implausible length
+  }
+  std::string buf(total_len, '\0');
+  if (::pread(fd_, buf.data(), total_len, static_cast<off_t>(pos_)) !=
+          static_cast<ssize_t>(total_len) ||
+      !LogRecord::Parse(buf, out).ok()) {
+    return Status::NotFound("torn log tail");
+  }
+  out->lsn = pos_;
+  pos_ += total_len;
   return Status::OK();
 }
 

@@ -86,4 +86,26 @@ struct LogRecord {
   std::string ToString() const;
 };
 
+/// Sequential reader over a log file descriptor, starting at an LSN. It is
+/// the one place that decides where the durable log ends: LogManager::Open
+/// and its file reads, fsck and wal_dump all walk with it. Each record costs
+/// a header pread, then a body pread.
+class LogFileReader {
+ public:
+  LogFileReader(int fd, Lsn start) : fd_(fd), pos_(start) {}
+
+  /// Whether the file starts with the magic prologue.
+  static bool HasPrologue(int fd);
+
+  /// Read the record at position() and step past it. Returns NotFound at the
+  /// end of the log: EOF, a zero header (preallocated slack), an implausible
+  /// length, a short read, or a CRC/framing failure (a torn tail).
+  Status Next(LogRecord* out);
+  Lsn position() const { return pos_; }
+
+ private:
+  int fd_;
+  Lsn pos_;
+};
+
 }  // namespace ariesim

@@ -1,5 +1,5 @@
 // End-to-end stats/trace surface: a seeded crash-recovery run must populate
-// the commit/fsync histograms, the per-pass RecoveryStats, and — with
+// the commit/fsync histograms, the per-pass RestartStats, and — with
 // tracing on — a Perfetto-loadable dump with distinct analysis/redo/undo
 // spans (the ISSUE 4 acceptance scenario).
 #include <gtest/gtest.h>
@@ -62,7 +62,7 @@ TEST(DbStats, RestartStatsCarryPassDurations) {
   TempDir dir("stats_restart");
   SeedAndCrash(dir.path());
   auto db = std::move(Database::Open(dir.path(), DefaultOptions()).value());
-  const RecoveryStats& rs = db->restart_stats();
+  const RestartStats& rs = db->restart_stats();
   EXPECT_GT(rs.analysis_records, 0u);
   EXPECT_GT(rs.undo_records, 0u);
   EXPECT_EQ(rs.loser_txns, 1u);

@@ -438,7 +438,9 @@ TEST(LockForensics, SnapshotLatchesTheLastShard) {
   for (int i = 0; i < 2000; ++i) {
     for (const LockQueueInfo& q : lm.Snapshot().queues) {
       EXPECT_EQ(q.requests.size(), 1u) << q.name.ToString();
-      if (!q.requests.empty()) EXPECT_TRUE(q.requests[0].granted);
+      if (!q.requests.empty()) {
+        EXPECT_TRUE(q.requests[0].granted);
+      }
     }
   }
   stop = true;

@@ -252,7 +252,9 @@ TEST(MetricsSampler, JsonlTailSurvivesTornCrash) {
     EXPECT_EQ(l.back(), '}') << "torn JSONL line: " << l;
     uint64_t seq = 0;
     ASSERT_TRUE(ExtractU64(l, "seq", 0, &seq)) << l;
-    if (!first) EXPECT_EQ(seq, prev_seq + 1) << "seq gap at: " << l;
+    if (!first) {
+      EXPECT_EQ(seq, prev_seq + 1) << "seq gap at: " << l;
+    }
     prev_seq = seq;
     first = false;
   }

@@ -49,7 +49,9 @@ TEST_P(CrashRandomTest, RecoveredStateEqualsCommittedReference) {
         ASSERT_OK(table->FetchByKey(reader, "pk", key, &row));
         auto it = committed.find(key);
         ASSERT_EQ(row.has_value(), it != committed.end()) << "seed " << seed;
-        if (row.has_value()) EXPECT_EQ((*row)[1], it->second);
+        if (row.has_value()) {
+          EXPECT_EQ((*row)[1], it->second);
+        }
         if (ro_rnd.Percent(20)) ASSERT_OK(db->Checkpoint());
       }
       ASSERT_OK(ro_rnd.Percent(70) ? db->Commit(reader) : db->Rollback(reader));

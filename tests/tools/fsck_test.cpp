@@ -3,37 +3,26 @@
 // a crash image with a record torn inside those zeros (a finding), and a
 // cleanly closed log that is exactly its records (clean).
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <string>
 
 #include "db/database.h"
 #include "test_util.h"
+#include "tools/tool_runner.h"
 #include "util/fault_injector.h"
 
 namespace ariesim {
 namespace {
 
 using testing::DefaultOptions;
+using testing::RunFsck;
 using testing::TempDir;
 
 Options DurableOptions() {
   Options o = DefaultOptions();
   o.fsync_log = true;
   return o;
-}
-
-// Run fsck on `dir`; returns its exit code and leaves its stdout in *out.
-int RunFsck(const std::string& dir, std::string* out) {
-  const std::string cmd = std::string(ARIESIM_FSCK_BIN) + " " + dir + " 2>&1";
-  FILE* p = ::popen(cmd.c_str(), "r");
-  if (p == nullptr) return -1;
-  char buf[512];
-  while (std::fgets(buf, sizeof(buf), p) != nullptr) *out += buf;
-  const int status = ::pclose(p);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
 void CommitRows(Database* db, Table* table, int n) {

@@ -2,34 +2,22 @@
 // last record into preallocated zeros or a torn tail, must leave the file
 // byte-identical, so the image still replays as it crashed.
 #include <gtest/gtest.h>
-#include <sys/wait.h>
 
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "db/database.h"
 #include "test_util.h"
+#include "tools/tool_runner.h"
 #include "util/fault_injector.h"
 
 namespace ariesim {
 namespace {
 
 using testing::DefaultOptions;
+using testing::RunWalDump;
 using testing::TempDir;
-
-// Run wal_dump on `dir`; returns its exit code and leaves its stdout in *out.
-int RunWalDump(const std::string& dir, std::string* out) {
-  const std::string cmd =
-      std::string(ARIESIM_WAL_DUMP_BIN) + " " + dir + " 2>&1";
-  FILE* p = ::popen(cmd.c_str(), "r");
-  if (p == nullptr) return -1;
-  char buf[512];
-  while (std::fgets(buf, sizeof(buf), p) != nullptr) *out += buf;
-  const int status = ::pclose(p);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-}
 
 std::string LogBytes(const std::string& dir) {
   std::ifstream f(dir + "/wal.log", std::ios::binary);

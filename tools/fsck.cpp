@@ -4,9 +4,10 @@
 // Scans the closed database WITHOUT opening it through the engine —
 // LogManager::Open truncates a torn log tail as a side effect, and a
 // verifier must never modify what it verifies. Checks:
-//   - wal.log: magic prologue, then a CRC walk of every record; reports the
-//     first bad LSN (a torn tail) and the durable end of the log. An
-//     all-zero remainder is the log's preallocated slack, not a finding;
+//   - wal.log: magic prologue, then one CRC walk of every record with the
+//     engine's LogFileReader (opened O_RDONLY); reports the first bad LSN (a
+//     torn tail) and the durable end of the log. An all-zero remainder is
+//     the log's preallocated slack, not a finding;
 //   - data.db: the buffer pool's strict load predicate on every page — a
 //     typed page must carry a matching checksum, an untyped page must be
 //     entirely zero;
@@ -14,10 +15,14 @@
 //     the log (a WAL-rule violation: the page got to disk before its log);
 //   - page-index cross-check: every per-page LSN chain entry persisted in a
 //     checkpoint's kPageIndex chunks must reference a real redoable record
-//     for that page in the raw log walk — a divergent entry would make
+//     for that page in the same log walk — a divergent entry would make
 //     instant restart replay garbage (or skip history) on first touch.
 //
 // Exit 0 when clean, 1 when findings were reported, 2 on usage/IO errors.
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -54,81 +59,72 @@ bool ReadFile(const std::string& path, std::string* out) {
   return f.good() || out->empty();
 }
 
-/// Walk the log from the prologue; returns the durable end (the byte offset
-/// one past the last record that parses with a valid CRC).
-Lsn ScanLog(const std::string& log) {
-  if (log.size() < kLogFilePrologue) {
-    Finding("wal.log shorter than its prologue (" +
-            std::to_string(log.size()) + " bytes)");
-    return kLogFilePrologue;
+/// What the one walk of wal.log collects for the page-index cross-check.
+struct LogScan {
+  Lsn durable_end = kLogFilePrologue;
+  std::unordered_map<PageId, std::unordered_set<Lsn>> redoable;
+  std::vector<LogRecord> chunks;  // kPageIndex records
+};
+
+/// Walk the log from the prologue with the engine's LogFileReader, so fsck
+/// ends the log exactly where restart would. Past the durable end, an
+/// all-zero remainder is the preallocated slack; anything else is torn.
+LogScan ScanLog(int fd) {
+  LogScan scan;
+  struct stat st;
+  const uint64_t size =
+      ::fstat(fd, &st) == 0 ? static_cast<uint64_t>(st.st_size) : 0;
+  if (size < kLogFilePrologue) {
+    Finding("wal.log shorter than its prologue (" + std::to_string(size) +
+            " bytes)");
+    return scan;
   }
-  if (DecodeFixed64(log.data()) != kLogMagic) {
+  if (!LogFileReader::HasPrologue(fd)) {
     Finding("wal.log has a bad magic prologue");
-    return kLogFilePrologue;
+    return scan;
   }
-  Lsn pos = kLogFilePrologue;
+  LogFileReader reader(fd, kLogFilePrologue);
+  LogRecord rec;
   uint64_t records = 0;
+  for (; reader.Next(&rec).ok(); ++records) {
+    if (rec.IsRedoable() && rec.page_id != kInvalidPageId) {
+      scan.redoable[rec.page_id].insert(rec.lsn);
+    } else if (rec.type == LogType::kPageIndex) {
+      scan.chunks.push_back(rec);
+    }
+  }
+  scan.durable_end = reader.position();
+  std::string rest(size - scan.durable_end, '\0');
   size_t slack = 0;
-  while (pos < log.size()) {
-    LogRecord rec;
-    Status s = Status::Corruption("record header extends past end of file");
-    if (pos + kLogHeaderSize <= log.size()) {
-      s = LogRecord::Parse(
-          std::string_view(log.data() + pos, log.size() - pos), &rec);
-    }
-    if (!s.ok()) {
-      if (std::string_view(log).substr(pos).find_first_not_of('\0') ==
-          std::string_view::npos) {
-        slack = log.size() - pos;  // zero-filled ahead of the append point
-      } else {
-        Finding("torn log tail: first bad LSN " + std::to_string(pos) + " (" +
-                std::to_string(log.size() - pos) +
-                " trailing bytes fail the CRC walk; restart recovery would "
-                "truncate here)");
-      }
-      break;
-    }
-    pos += rec.SerializedSize();
-    ++records;
+  if (::pread(fd, rest.data(), rest.size(),
+              static_cast<off_t>(scan.durable_end)) ==
+          static_cast<ssize_t>(rest.size()) &&
+      rest.find_first_not_of('\0') == std::string::npos) {
+    slack = rest.size();  // zero-filled ahead of the append point
+  } else {
+    Finding("torn log tail: first bad LSN " + std::to_string(scan.durable_end) +
+            " (" + std::to_string(rest.size()) +
+            " trailing bytes fail the CRC walk; restart recovery would "
+            "truncate here)");
   }
   std::printf(
-      "fsck: wal.log %zu bytes, %llu records, durable end-of-log %llu, %zu "
+      "fsck: wal.log %llu bytes, %llu records, durable end-of-log %llu, %zu "
       "bytes preallocated\n",
-      log.size(), static_cast<unsigned long long>(records),
-      static_cast<unsigned long long>(pos), slack);
-  return pos;
+      static_cast<unsigned long long>(size),
+      static_cast<unsigned long long>(records),
+      static_cast<unsigned long long>(scan.durable_end), slack);
+  return scan;
 }
 
-/// Cross-check every persisted page-index chunk against a second raw walk
-/// of the durable log: each chain entry must name an LSN at which the log
-/// really holds a redoable record for that page. The first divergence is
-/// reported in detail; the rest are only counted.
-void CheckPageIndex(const std::string& log, Lsn durable_end) {
-  std::unordered_map<PageId, std::unordered_set<Lsn>> redoable;
-  struct Chunk {
-    Lsn lsn;
-    std::string payload;
-  };
-  std::vector<Chunk> chunks;
-  Lsn pos = kLogFilePrologue;
-  while (pos < durable_end) {
-    LogRecord rec;
-    if (!LogRecord::Parse(
-             std::string_view(log.data() + pos, log.size() - pos), &rec)
-             .ok()) {
-      break;  // already reported by ScanLog
-    }
-    if (rec.IsRedoable() && rec.page_id != kInvalidPageId) {
-      redoable[rec.page_id].insert(pos);
-    } else if (rec.type == LogType::kPageIndex) {
-      chunks.push_back({pos, rec.payload});
-    }
-    pos += rec.SerializedSize();
-  }
+/// Cross-check every persisted page-index chunk against the log walk: each
+/// chain entry must name an LSN at which the log really holds a redoable
+/// record for that page. The first divergence is reported in detail; the
+/// rest are only counted.
+void CheckPageIndex(const LogScan& scan) {
   uint64_t entries = 0;
   uint64_t divergent = 0;
   bool reported = false;
-  for (const Chunk& c : chunks) {
+  for (const LogRecord& c : scan.chunks) {
     PageLsnChains chains;  // fresh per chunk: check each independently
     if (!PageLogIndex::ParseChunk(c.payload, &chains).ok()) {
       Finding("page-index chunk at LSN " + std::to_string(c.lsn) +
@@ -138,8 +134,8 @@ void CheckPageIndex(const std::string& log, Lsn durable_end) {
     for (const auto& [page, chain] : chains) {
       for (Lsn lsn : chain) {
         ++entries;
-        auto it = redoable.find(page);
-        if (it == redoable.end() || it->second.count(lsn) == 0) {
+        auto it = scan.redoable.find(page);
+        if (it == scan.redoable.end() || it->second.count(lsn) == 0) {
           ++divergent;
           if (!reported) {
             reported = true;
@@ -160,7 +156,7 @@ void CheckPageIndex(const std::string& log, Lsn durable_end) {
   std::printf(
       "fsck: page-index %zu chunk(s), %llu entr(ies) checked, %llu "
       "divergent\n",
-      chunks.size(), static_cast<unsigned long long>(entries),
+      scan.chunks.size(), static_cast<unsigned long long>(entries),
       static_cast<unsigned long long>(divergent));
 }
 
@@ -214,20 +210,21 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::string log;
-  if (!ReadFile(dir + "/wal.log", &log)) {
+  const int log_fd = ::open((dir + "/wal.log").c_str(), O_RDONLY);
+  if (log_fd < 0) {
     std::fprintf(stderr, "fsck: cannot read %s/wal.log\n", dir.c_str());
     return 2;
   }
-  Lsn durable_end = ScanLog(log);
-  CheckPageIndex(log, durable_end);
+  const LogScan scan = ScanLog(log_fd);
+  ::close(log_fd);
+  CheckPageIndex(scan);
 
   std::string data;
   if (!ReadFile(dir + "/data.db", &data)) {
     std::fprintf(stderr, "fsck: cannot read %s/data.db\n", dir.c_str());
     return 2;
   }
-  ScanData(&data, page_size, durable_end);
+  ScanData(&data, page_size, scan.durable_end);
 
   if (findings == 0) {
     std::printf("fsck: clean\n");

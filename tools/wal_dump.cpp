@@ -1,11 +1,14 @@
 // WAL dump utility: prints every log record, decoding btree/heap/meta ops.
 //   wal_dump <db-dir> [page-id-filter]
 //
-// Read-only: it walks a copy of wal.log in memory, as fsck does, and never
-// opens the log through LogManager, whose Open trims the tail it finds.
+// Read-only: it opens wal.log O_RDONLY and walks it with the engine's
+// LogFileReader, as fsck does, never through LogManager, whose Open trims
+// the tail it finds.
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <string>
 #include <string_view>
 
@@ -40,11 +43,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string path = std::string(argv[1]) + "/wal.log";
-  std::ifstream file(path, std::ios::binary);
-  const std::string log((std::istreambuf_iterator<char>(file)),
-                        std::istreambuf_iterator<char>());
-  if (!file.is_open() || log.size() < kLogFilePrologue ||
-      DecodeFixed64(log.data()) != kLogMagic) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  struct stat st;
+  if (fd < 0 || ::fstat(fd, &st) != 0 || !LogFileReader::HasPrologue(fd)) {
     std::fprintf(stderr, "wal_dump: %s is missing or has a bad prologue\n",
                  path.c_str());
     return 1;
@@ -53,12 +54,9 @@ int main(int argc, char** argv) {
                            : kInvalidPageId;
   // The CRC walk restart would make: it ends at the first record that does
   // not parse (a zero header or a torn tail).
-  Lsn pos = kLogFilePrologue;
+  LogFileReader reader(fd, kLogFilePrologue);
   LogRecord rec;
-  for (; pos + kLogHeaderSize <= log.size() &&
-         LogRecord::Parse(std::string_view(log).substr(pos), &rec).ok();
-       pos += rec.SerializedSize()) {
-    rec.lsn = pos;
+  while (reader.Next(&rec).ok()) {
     // Page-index chunks carry no page_id of their own; with a filter active
     // they pass through and print only the filtered page's chain.
     if (filter != kInvalidPageId && rec.page_id != filter &&
@@ -191,9 +189,11 @@ int main(int argc, char** argv) {
     std::printf("%s%s\n", rec.ToString().c_str(), extra.c_str());
   }
   // fsck tells preallocated zeros from a torn tail.
+  const Lsn end = reader.position();
   std::printf("end of log at LSN %llu; %llu bytes past it left in place "
               "(preallocated zeros or a torn tail)\n",
-              static_cast<unsigned long long>(pos),
-              static_cast<unsigned long long>(log.size() - pos));
+              static_cast<unsigned long long>(end),
+              static_cast<unsigned long long>(st.st_size) - end);
+  ::close(fd);
   return 0;
 }
