@@ -81,7 +81,8 @@ struct MetricsSnapshot;
   /* Flight recorder (PR 10; docs/OBSERVABILITY.md "Flight recorder") */    \
   X(blackbox_captures)     /* black-box snapshots written (any trigger) */  \
   X(blackbox_bytes)        /* total bytes written to the black-box file */  \
-  X(btree_backoffs)        /* randomized restart-backoff sleeps taken */
+  X(btree_backoffs)        /* randomized restart-backoff sleeps taken */  \
+  X(lock_detect_rounds)    /* deadlock detection rounds by lock waiters */
 
 // Latency histograms, all recording nanoseconds (reported as microseconds).
 #define ARIESIM_METRICS_HISTOGRAMS(X)                                     \

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <tuple>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/clock.h"
@@ -13,82 +14,90 @@
 
 namespace ariesim {
 
-LockManager::TxnLockState& LockManager::State(TxnId txn) {
-  // Only the owning transaction erases its state (ReleaseAll), so the
-  // reference outlives the shard lock.
+LockManager::TxnLockState* LockManager::FindState(TxnId txn, bool create) {
+  if (hint_manager_ == id_ &&
+      hint_state_->owner.load(std::memory_order_acquire) == txn) {
+    return hint_state_;
+  }
+  // Only the owning transaction recycles its state (ReleaseAll), so the
+  // pointer outlives the registry lock.
   TxnShard& ts = TxnShardOf(txn);
   std::lock_guard<std::mutex> lk(ts.mu);
-  std::unique_ptr<TxnLockState>& st = ts.states[txn];
-  if (st == nullptr) st = std::make_unique<TxnLockState>();
-  return *st;
-}
-
-LockManager::TxnLockState* LockManager::FindState(TxnId txn) {
-  TxnShard& ts = TxnShardOf(txn);
-  std::lock_guard<std::mutex> lk(ts.mu);
-  auto it = ts.states.find(txn);
-  return it == ts.states.end() ? nullptr : it->second.get();
-}
-
-LockManager::Request* LockManager::FindRequest(Queue& q, TxnId txn) {
-  for (auto& r : q.reqs) {
-    if (r.txn == txn) return &r;
+  size_t i = 0;
+  while (i < ts.active &&
+         ts.states[i]->owner.load(std::memory_order_relaxed) != txn) {
+    ++i;
   }
-  return nullptr;
-}
-
-bool LockManager::ConversionGrantable(const Queue& q, const Request& r) const {
-  for (const auto& g : q.reqs) {
-    if (g.txn == r.txn || !g.granted) continue;
-    if (!LockCompatible(g.mode, r.conv_target)) return false;
-  }
-  return true;
-}
-
-bool LockManager::NewGrantable(const Queue& q, const Request& r) const {
-  // FIFO among new waiters; conversions always have priority; compatible
-  // with every granted mode and every pending conversion target.
-  for (const auto& g : q.reqs) {
-    if (&g == &r) break;  // only consider entries ahead of r
-    if (g.granted) {
-      if (!LockCompatible(g.mode, r.mode)) return false;
-      if (g.converting) return false;  // pending conversion blocks newcomers
-    } else {
-      return false;  // an earlier waiter blocks (FIFO)
+  if (i == ts.active) {
+    if (!create) return nullptr;
+    if (i == ts.states.size()) {
+      ts.states.push_back(std::make_unique<TxnLockState>());
     }
+    ts.states[ts.active++]->owner.store(txn, std::memory_order_release);
   }
-  // Granted entries can also sit *behind* r in the list (they were waiters
-  // granted later); check all of them too.
-  for (const auto& g : q.reqs) {
-    if (g.txn == r.txn || !g.granted) continue;
-    if (!LockCompatible(g.mode, r.mode)) return false;
+  hint_manager_ = id_;
+  return hint_state_ = ts.states[i].get();
+}
+
+bool LockManager::Compatible(const Head& h, LockMode want,
+                             const Request* except) {
+  for (int m = 0; m < 5; ++m) {
+    const uint32_t n = h.granted[m] - (except != nullptr &&
+                                       static_cast<int>(except->mode) == m);
+    if (n > 0 && !LockCompatible(static_cast<LockMode>(m), want)) return false;
   }
   return true;
 }
 
-void LockManager::GrantWaiters(Queue& q) {
+void LockManager::Grant(Head& h, Request& r, LockMode mode, uint64_t now_ns) {
+  if (r.granted) {
+    --h.granted[static_cast<int>(r.mode)];
+  } else {
+    r.granted = true;
+    --h.waiters;
+    r.owner->held.fetch_add(1, std::memory_order_relaxed);
+  }
+  r.mode = mode;
+  ++h.granted[static_cast<int>(mode)];
+  r.grant_ns = now_ns;
+}
+
+void LockManager::Unlink(Shard& sh, Head& h, Request& r) {
+  (r.prev != nullptr ? r.prev->next : h.first) = r.next;
+  (r.next != nullptr ? r.next->prev : h.last) = r.prev;
+  r.linked = false;
+  if (!r.granted) {
+    --h.waiters;
+  } else {
+    --h.granted[static_cast<int>(r.mode)];
+    if (r.converting) --h.converters;
+    r.owner->held.fetch_sub(1, std::memory_order_relaxed);
+  }
+  GrantWaiters(h);
+  if (h.first == nullptr) sh.heads.Erase(&h);
+}
+
+void LockManager::GrantWaiters(Head& h) {
   // One clock read at most, and only when something is actually granted.
   uint64_t now = 0;
-  auto now_ns = [&now]() {
+  auto grant = [&](Request& r, LockMode mode) {
     if (now == 0) now = MonotonicNowNs();
-    return now;
+    Grant(h, r, mode, now);
+    Wake(*r.owner);
   };
   // Pass 1: conversions.
-  for (auto& r : q.reqs) {
-    if (r.granted && r.converting && ConversionGrantable(q, r)) {
-      r.mode = r.conv_target;
-      r.converting = false;
-      r.grant_ns = now_ns();
-      Wake(*r.owner);
+  for (Request* r = h.first; r != nullptr && h.converters > 0; r = r->next) {
+    if (r->converting && Compatible(h, r->conv_target, r)) {
+      r->converting = false;
+      --h.converters;
+      grant(*r, r->conv_target);
     }
   }
-  // Pass 2: new waiters, FIFO.
-  for (auto& r : q.reqs) {
-    if (r.granted) continue;
-    if (!NewGrantable(q, r)) break;
-    r.granted = true;
-    r.grant_ns = now_ns();
-    Wake(*r.owner);
+  // Pass 2: new waiters, FIFO; a pending conversion blocks them all.
+  for (Request* r = h.first; r != nullptr && h.waiters > 0; r = r->next) {
+    if (r->granted) continue;
+    if (h.converters > 0 || !Compatible(h, r->mode, nullptr)) break;
+    grant(*r, r->mode);
   }
 }
 
@@ -98,14 +107,6 @@ void LockManager::Wake(TxnLockState& st) {
   st.cv.notify_all();
 }
 
-void LockManager::RemoveLocked(Shard& sh, const LockName& name, TxnId txn) {
-  auto qit = sh.table.find(name);
-  if (qit == sh.table.end()) return;
-  qit->second.reqs.remove_if([&](const Request& r) { return r.txn == txn; });
-  GrantWaiters(qit->second);
-  if (qit->second.reqs.empty()) sh.table.erase(qit);
-}
-
 std::vector<WaitsForEdge> LockManager::BuildEdgesAllLocked() const {
   // Waits-for edges:
   //  - a plain waiter depends on every incompatible granted holder, every
@@ -113,30 +114,26 @@ std::vector<WaitsForEdge> LockManager::BuildEdgesAllLocked() const {
   //  - a converting holder depends on every *other* granted holder whose
   //    mode is incompatible with its conversion target.
   std::vector<WaitsForEdge> out;
-  for (const Shard& sh : shards_) {
-    for (const auto& [name, q] : sh.table) {
-      std::vector<const Request*> seen;
-      for (const auto& r : q.reqs) {
-        if (r.granted && r.converting) {
-          for (const auto& g : q.reqs) {
-            if (g.txn == r.txn || !g.granted) continue;
-            if (!LockCompatible(g.mode, r.conv_target)) {
-              out.push_back({r.txn, g.txn, name});
-            }
+  ForEachHeadAllLocked([&](const Head& h) {
+    for (const Request* r = h.first; r != nullptr; r = r->next) {
+      if (r->granted && r->converting) {
+        for (const Request* g = h.first; g != nullptr; g = g->next) {
+          if (g->txn == r->txn || !g->granted) continue;
+          if (!LockCompatible(g->mode, r->conv_target)) {
+            out.push_back({r->txn, g->txn, h.name});
           }
         }
-        if (!r.granted) {
-          for (const Request* prior : seen) {
-            if (prior->txn == r.txn) continue;
-            bool blocks = !prior->granted || prior->converting ||
-                          !LockCompatible(prior->mode, r.mode);
-            if (blocks) out.push_back({r.txn, prior->txn, name});
-          }
+      }
+      if (!r->granted) {
+        for (const Request* prior = h.first; prior != r; prior = prior->next) {
+          if (prior->txn == r->txn) continue;
+          bool blocks = !prior->granted || prior->converting ||
+                        !LockCompatible(prior->mode, r->mode);
+          if (blocks) out.push_back({r->txn, prior->txn, h.name});
         }
-        seen.push_back(&r);
       }
     }
-  }
+  });
   return out;
 }
 
@@ -187,21 +184,20 @@ void LockManager::RecordPostmortemAllLocked(TxnId victim,
           .count());
   pm.victim = victim;
   // The request each cycle member waits with (a waiter or a converter).
-  auto waiting = [&](TxnId t) -> std::pair<const LockName*, const Request*> {
-    for (const Shard& sh : shards_) {
-      for (const auto& [name, q] : sh.table) {
-        for (const auto& r : q.reqs) {
-          if (r.txn == t && (!r.granted || r.converting)) return {&name, &r};
-        }
+  auto waiting = [&](TxnId t) {
+    const Request* found = nullptr;
+    ForEachHeadAllLocked([&](const Head& h) {
+      for (const Request* r = h.first; r != nullptr; r = r->next) {
+        if (r->txn == t && (!r->granted || r->converting)) found = r;
       }
-    }
-    return {nullptr, nullptr};
+    });
+    return found;
   };
   for (TxnId t : cycle) {
     DeadlockCycleNode node;
     node.txn = t;
-    if (auto [name, r] = waiting(t); r != nullptr) {
-      node.name = *name;
+    if (const Request* r = waiting(t); r != nullptr) {
+      node.name = r->name;
       node.requested = r->granted ? r->conv_target : r->mode;
       node.had_grant = r->granted;
       if (r->granted) node.granted_mode = r->mode;
@@ -268,16 +264,13 @@ void LockManager::MaybeRearmWatchdog() {
   const uint64_t now = MonotonicNowNs();
   const uint64_t thr =
       static_cast<uint64_t>(watchdog_threshold_ms_) * 1000000ull;
-  for (const Shard& sh : shards_) {
-    for (const auto& [name, q] : sh.table) {
-      for (const auto& r : q.reqs) {
-        if ((!r.granted || r.converting) && now - r.wait_start_ns >= thr) {
-          return;  // the episode is still live
-        }
-      }
+  bool live = false;
+  ForEachHeadAllLocked([&](const Head& h) {
+    for (const Request* r = h.first; r != nullptr; r = r->next) {
+      live |= (!r->granted || r->converting) && now - r->wait_start_ns >= thr;
     }
-  }
-  watchdog_fired_ = false;
+  });
+  if (!live) watchdog_fired_ = false;  // the episode has drained
 }
 
 void LockManager::ConfigureWatchdog(
@@ -305,10 +298,23 @@ bool LockManager::WaitForGrant(std::unique_lock<Shard>& lk,
   ARIES_TRACE_SPAN(wait_span, "lock.wait", TraceCat::kLock, txn);
   auto granted = [&] { return converting ? !mine.converting : mine.granted; };
   bool victim = false;
-  do {
+  for (auto sleep = kDetectAfter;; sleep = kDetectPoll) {
+    {
+      // Read wake_seq before dropping the shard: a grant that lands between
+      // the unlatch and the sleep moves it, so the wait returns at once.
+      std::unique_lock<std::mutex> wl(st.mu);
+      const uint64_t seq = st.wake_seq;
+      lk.unlock();
+      st.cv.wait_for(wl, sleep, [&] { return st.wake_seq != seq; });
+    }
+    lk.lock();
+    if (granted() || (victim = st.deadlock_victim.exchange(false))) break;
     lk.unlock();
     {
       AllShards all(this);
+      if (metrics_ != nullptr) {
+        metrics_->lock_detect_rounds.fetch_add(1, std::memory_order_relaxed);
+      }
       std::vector<TxnId> cycle;
       TxnId v = DetectDeadlockAllLocked(txn, &cycle);
       TxnLockState* vs = v == kInvalidTxnId ? nullptr : FindState(v);
@@ -323,18 +329,8 @@ bool LockManager::WaitForGrant(std::unique_lock<Shard>& lk,
     }
     MaybeFireWatchdog(wait_start_ns);
     lk.lock();
-    if (granted()) break;
-    if ((victim = st.deadlock_victim.exchange(false))) break;
-    // Read wake_seq before dropping the shard: a grant that lands between
-    // the unlatch and the sleep moves it, so the wait returns at once.
-    std::unique_lock<std::mutex> wl(st.mu);
-    const uint64_t seq = st.wake_seq;
-    lk.unlock();
-    st.cv.wait_for(wl, std::chrono::milliseconds(5),
-                   [&] { return st.wake_seq != seq; });
-    wl.unlock();
-    lk.lock();
-  } while (!granted());
+    if (granted() || (victim = st.deadlock_victim.exchange(false))) break;
+  }
   // Granted: any cycle that named this transaction has dissolved.
   st.deadlock_victim.store(false);
   contention_.RecordWait(name, MonotonicNowNs() - wait_start_ns);
@@ -346,52 +342,62 @@ Status LockManager::Lock(TxnId txn, const LockName& name, LockMode mode,
   if (metrics_ != nullptr) {
     metrics_->lock_requests.fetch_add(1, std::memory_order_relaxed);
   }
-  TxnLockState& st = State(txn);
-  auto held_it = st.held.find(name);
-  const bool already_held =
-      held_it != st.held.end() && LockCovers(held_it->second, mode);
+  TxnLockState& st = *FindState(txn, /*create=*/true);
+  Request* mine = FindRequest(st, name);
+  // A name this transaction holds in a weaker mode is a conversion
+  // (upgrade); anything else is a fresh request.
+  const bool converting = mine != nullptr && mine->linked;
+  const bool already_held = converting && LockCovers(mine->mode, mode);
   bool waited = false;
   if (!already_held) {
-    // A name this transaction holds in a weaker mode is a conversion
-    // (upgrade); anything else is a fresh request.
-    const bool converting = held_it != st.held.end();
+    if (mine == nullptr) {
+      if (st.count == st.chunks.size() * kChunkRequests) {
+        st.chunks.push_back(std::make_unique<Chunk>());
+      }
+      mine = &st.At(st.count++);
+      st.index.Insert(name) = mine;
+    }
+    const LockMode prior = mine->mode;
+    const LockMode want = converting ? LockSupremum(prior, mode) : mode;
     Shard& sh = ShardOf(name);
     std::unique_lock<Shard> lk(sh);
-    Queue& q = sh.table[name];
-    Request* mine;
-    if (converting) {
-      mine = FindRequest(q, txn);
-      if (mine == nullptr || !mine->granted) {
-        return Status::Corruption("lock table out of sync with held map");
-      }
-      mine->converting = true;
-      mine->conv_target = LockSupremum(held_it->second, mode);
-      mine->prior_mode = mine->mode;
-    } else {
-      q.reqs.push_back(Request{txn, &st, mode});
-      mine = &q.reqs.back();
+    Head* h = sh.heads.Find(name);
+    if (h == nullptr) {
+      h = &sh.heads.Insert(name);
+      h->name = name;
     }
-    // Takes back the fresh request, or the conversion (the original grant
-    // stays), and lets any waiter it blocked in.
+    // Conversions have priority; a fresh request also queues behind any
+    // waiter or pending conversion (FIFO).
+    waited = !Compatible(*h, want, converting ? mine : nullptr) ||
+             (!converting && h->waiters + h->converters > 0);
+    if (!converting) {  // append to the FIFO as a waiter
+      *mine = Request{.name = name, .txn = txn, .owner = &st,
+                      .prev = h->last, .mode = want, .linked = true};
+      (h->last != nullptr ? h->last->next : h->first) = mine;
+      h->last = mine;
+      ++h->waiters;
+    }
+    if (!waited) {
+      Grant(*h, *mine, want, MonotonicNowNs());
+    } else if (converting) {
+      mine->conv_target = want;
+      mine->converting = true;
+      ++h->converters;
+    }
+    // Takes back the fresh request (left unlinked in the array for a later
+    // request on `name`) or the conversion (the original grant stays), and
+    // lets in any waiter it blocked. The head may have moved meanwhile.
     auto withdraw = [&] {
-      if (converting) {
+      h = sh.heads.Find(name);
+      if (!converting) return Unlink(sh, *h, *mine);
+      if (mine->converting) {
         mine->converting = false;
-        mine->mode = mine->prior_mode;
-      } else {
-        q.reqs.remove_if([&](const Request& x) { return &x == mine; });
+        --h->converters;
       }
-      GrantWaiters(q);
-      if (q.reqs.empty()) sh.table.erase(name);
+      Grant(*h, *mine, prior, mine->grant_ns);
+      GrantWaiters(*h);
     };
-    if (converting ? ConversionGrantable(q, *mine) : NewGrantable(q, *mine)) {
-      if (converting) {
-        mine->mode = mine->conv_target;
-        mine->converting = false;
-      } else {
-        mine->granted = true;
-      }
-      mine->grant_ns = MonotonicNowNs();
-    } else if (conditional) {
+    if (waited && conditional) {
       withdraw();
       if (metrics_ != nullptr) {
         metrics_->lock_conditional_denied.fetch_add(1,
@@ -400,29 +406,22 @@ Status LockManager::Lock(TxnId txn, const LockName& name, LockMode mode,
       return Status::Busy((converting ? "lock conversion not grantable: "
                                       : "lock not grantable: ") +
                           name.ToString());
-    } else {
-      waited = true;
-      if (!WaitForGrant(lk, st, txn, name, *mine, converting)) {
-        withdraw();
-        lk.unlock();
-        if (metrics_ != nullptr) {
-          metrics_->deadlocks.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::string summary = VictimSummary(txn);
-        MaybeRearmWatchdog();
-        return Status::Deadlock(
-            (converting ? "deadlock upgrading " : "deadlock on ") +
-            name.ToString() +
-            (summary.empty() ? std::string() : "; " + summary));
+    }
+    if (waited && !WaitForGrant(lk, st, txn, name, *mine, converting)) {
+      withdraw();
+      lk.unlock();
+      if (metrics_ != nullptr) {
+        metrics_->deadlocks.fetch_add(1, std::memory_order_relaxed);
       }
+      std::string summary = VictimSummary(txn);
+      MaybeRearmWatchdog();
+      return Status::Deadlock(
+          (converting ? "deadlock upgrading " : "deadlock on ") +
+          name.ToString() +
+          (summary.empty() ? std::string() : "; " + summary));
     }
     // Granted; instant duration releases at once.
-    if (duration == LockDuration::kInstant) {
-      withdraw();
-    } else {
-      std::lock_guard<std::mutex> hl(st.mu);
-      st.held[name] = mine->mode;
-    }
+    if (duration == LockDuration::kInstant) withdraw();
   }
   if (waited) MaybeRearmWatchdog();
   if (metrics_ != nullptr) {
@@ -436,76 +435,52 @@ Status LockManager::Lock(TxnId txn, const LockName& name, LockMode mode,
 
 void LockManager::Unlock(TxnId txn, const LockName& name) {
   TxnLockState* st = FindState(txn);
-  if (st == nullptr) return;
+  Request* r = st == nullptr ? nullptr : FindRequest(*st, name);
+  if (r == nullptr || !r->linked) return;
   Shard& sh = ShardOf(name);
   std::lock_guard<Shard> lk(sh);
-  RemoveLocked(sh, name, txn);
-  std::lock_guard<std::mutex> hl(st->mu);
-  st->held.erase(name);
+  Unlink(sh, *sh.heads.Find(name), *r);
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
   TxnLockState* st = FindState(txn);
   if (st == nullptr) return;
-  for (auto& [name, mode] : st->held) {
-    Shard& sh = ShardOf(name);
+  for (uint32_t i = 0; i < st->count; ++i) {
+    Request& r = st->At(i);
+    if (!r.linked) continue;
+    Shard& sh = ShardOf(r.name);
     std::lock_guard<Shard> lk(sh);
-    RemoveLocked(sh, name, txn);
+    Unlink(sh, *sh.heads.Find(r.name), r);
   }
+  // Recycle the state, trimmed to one chunk and at most kKeepIndex slots.
+  st->count = 0;
+  if (st->chunks.size() > 1) st->chunks.resize(1);
+  if (st->index.slots.size() > kKeepIndex) st->index.slots = {};
+  std::fill(st->index.slots.begin(), st->index.slots.end(), nullptr);
+  st->index.used = 0;
   TxnShard& ts = TxnShardOf(txn);
   std::lock_guard<std::mutex> lk(ts.mu);
-  ts.states.erase(txn);
+  size_t i = 0;
+  while (ts.states[i].get() != st) ++i;
+  st->owner.store(kInvalidTxnId, std::memory_order_release);
+  std::swap(ts.states[i], ts.states[--ts.active]);
 }
 
 bool LockManager::Holds(TxnId txn, const LockName& name, LockMode mode) {
-  TxnShard& ts = TxnShardOf(txn);
-  std::lock_guard<std::mutex> lk(ts.mu);
-  auto tit = ts.states.find(txn);
-  if (tit == ts.states.end()) return false;
-  std::lock_guard<std::mutex> hl(tit->second->mu);
-  auto hit = tit->second->held.find(name);
-  return hit != tit->second->held.end() && LockCovers(hit->second, mode);
+  TxnLockState* st = FindState(txn);
+  const Request* r = st == nullptr ? nullptr : FindRequest(*st, name);
+  return r != nullptr && r->linked && r->granted && LockCovers(r->mode, mode);
 }
 
 LockTableSnapshot LockManager::SnapshotAllLocked(uint64_t now_ns) {
   LockTableSnapshot snap;
   snap.captured_at_ns = now_ns;
-  for (const Shard& sh : shards_) {
-    for (const auto& [name, q] : sh.table) {
-      LockQueueInfo qi;
-      qi.name = name;
-      qi.requests.reserve(q.reqs.size());
-      for (const auto& r : q.reqs) {
-        LockRequestInfo ri;
-        ri.txn = r.txn;
-        ri.mode = r.mode;
-        ri.granted = r.granted;
-        ri.converting = r.granted && r.converting;
-        ri.conv_target = r.conv_target;
-        if (!r.granted || r.converting) {
-          ri.wait_us = (now_ns - r.wait_start_ns) / 1000;
-        }
-        if (r.granted) {
-          ri.grant_us = r.grant_ns == 0 ? 0 : (now_ns - r.grant_ns) / 1000;
-        }
-        qi.requests.push_back(ri);
-      }
-      snap.queues.push_back(std::move(qi));
-    }
-  }
-  std::sort(snap.queues.begin(), snap.queues.end(),
-            [](const LockQueueInfo& a, const LockQueueInfo& b) {
-              return std::tie(a.name.space, a.name.object, a.name.a,
-                              a.name.b) < std::tie(b.name.space, b.name.object,
-                                                   b.name.a, b.name.b);
-            });
   for (TxnShard& ts : txn_shards_) {
     std::lock_guard<std::mutex> lk(ts.mu);
-    for (const auto& [id, st] : ts.states) {
+    for (size_t i = 0; i < ts.active; ++i) {
       TxnLockInfo ti;
-      ti.txn = id;
-      std::lock_guard<std::mutex> hl(st->mu);
-      ti.held = st->held.size();
+      ti.txn = ts.states[i]->owner.load(std::memory_order_relaxed);
+      ti.held = ts.states[i]->held.load(std::memory_order_relaxed);
       snap.txns.push_back(ti);
     }
   }
@@ -513,24 +488,40 @@ LockTableSnapshot LockManager::SnapshotAllLocked(uint64_t now_ns) {
             [](const TxnLockInfo& a, const TxnLockInfo& b) {
               return a.txn < b.txn;
             });
-  // Fill blocked state from the queues (one waiting or converting request
-  // per txn at a time: a txn has at most one Lock() call in flight).
-  for (const Shard& sh : shards_) {
-    for (const auto& [name, q] : sh.table) {
-      for (const auto& r : q.reqs) {
-        if (r.granted && !r.converting) continue;
-        auto it = std::lower_bound(snap.txns.begin(), snap.txns.end(), r.txn,
-                                   [](const TxnLockInfo& t, TxnId id) {
-                                     return t.txn < id;
-                                   });
-        if (it == snap.txns.end() || it->txn != r.txn) continue;
-        it->blocked = true;
-        it->blocked_on = name;
-        it->blocked_mode = r.granted ? r.conv_target : r.mode;
-        it->blocked_us = (now_ns - r.wait_start_ns) / 1000;
-      }
+  ForEachHeadAllLocked([&](const Head& h) {
+    LockQueueInfo qi;
+    qi.name = h.name;
+    for (const Request* r = h.first; r != nullptr; r = r->next) {
+      LockRequestInfo ri;
+      ri.txn = r->txn;
+      ri.mode = r->mode;
+      ri.granted = r->granted;
+      ri.converting = r->granted && r->converting;
+      ri.conv_target = r->conv_target;
+      const bool waiting = !r->granted || r->converting;
+      if (waiting) ri.wait_us = (now_ns - r->wait_start_ns) / 1000;
+      if (r->granted) ri.grant_us = (now_ns - r->grant_ns) / 1000;
+      qi.requests.push_back(ri);
+      if (!waiting) continue;
+      // The txn's blocked state (a txn has at most one Lock() in flight).
+      auto it = std::lower_bound(snap.txns.begin(), snap.txns.end(), r->txn,
+                                 [](const TxnLockInfo& t, TxnId id) {
+                                   return t.txn < id;
+                                 });
+      if (it == snap.txns.end() || it->txn != r->txn) continue;
+      it->blocked = true;
+      it->blocked_on = h.name;
+      it->blocked_mode = r->granted ? r->conv_target : r->mode;
+      it->blocked_us = ri.wait_us;
     }
-  }
+    snap.queues.push_back(std::move(qi));
+  });
+  std::sort(snap.queues.begin(), snap.queues.end(),
+            [](const LockQueueInfo& a, const LockQueueInfo& b) {
+              return std::tie(a.name.space, a.name.object, a.name.a,
+                              a.name.b) < std::tie(b.name.space, b.name.object,
+                                                   b.name.a, b.name.b);
+            });
   snap.edges = BuildEdgesAllLocked();
   return snap;
 }
@@ -559,12 +550,8 @@ std::vector<uint64_t> LockManager::CycleLengthCounts() {
 std::string LockManager::DumpState() { return Snapshot().ToString(); }
 
 size_t LockManager::HeldCount(TxnId txn) {
-  TxnShard& ts = TxnShardOf(txn);
-  std::lock_guard<std::mutex> lk(ts.mu);
-  auto tit = ts.states.find(txn);
-  if (tit == ts.states.end()) return 0;
-  std::lock_guard<std::mutex> hl(tit->second->mu);
-  return tit->second->held.size();
+  TxnLockState* st = FindState(txn);
+  return st == nullptr ? 0 : st->held.load(std::memory_order_relaxed);
 }
 
 }  // namespace ariesim

@@ -14,14 +14,15 @@
 // its threshold.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <list>
+#include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/contention.h"
@@ -65,9 +66,13 @@ class LockManager {
   static constexpr size_t kTxnShards = 16;
   /// Which shard `name` lives in (tests use it to spread names).
   static size_t ShardIndex(const LockName& name) {
-    return ((LockNameHash()(name) * 0x9e3779b97f4a7c15ull) >> 32) %
-           kNameShards;
+    return (Mix(name) >> 32) % kNameShards;
   }
+  /// A blocked request sleeps this long on its own condition variable
+  /// before its first deadlock detection round (`lock_detect_rounds`), then
+  /// runs one every kDetectPoll.
+  static constexpr std::chrono::microseconds kDetectAfter{200};
+  static constexpr std::chrono::microseconds kDetectPoll{5000};
 
   /// Acquire `name` in `mode` for `duration` on behalf of `txn`.
   /// If `conditional`, returns kBusy instead of waiting.
@@ -83,7 +88,8 @@ class LockManager {
   /// Release everything the transaction holds (commit / end of rollback).
   void ReleaseAll(TxnId txn);
 
-  /// True if `txn` currently holds `name` in a mode covering `mode`.
+  /// True if `txn` currently holds `name` in a mode covering `mode`. Call
+  /// it from `txn`'s thread (it reads the txn's private request index).
   bool Holds(TxnId txn, const LockName& name, LockMode mode);
 
   /// Number of distinct lock names currently held by `txn`.
@@ -127,44 +133,121 @@ class LockManager {
   std::string DumpState();
 
  private:
-  /// Per-transaction lock state. Only the owner writes `held`, under `mu`
-  /// for forensics readers; the owner itself reads it without `mu`.
-  struct TxnLockState {
-    std::mutex mu;
-    std::unordered_map<LockName, LockMode, LockNameHash> held;
-    /// A waiter sleeps on `cv` with `mu` until `wake_seq` moves; Wake()
-    /// bumps it under `mu` for every grant and deadlock verdict.
-    std::condition_variable cv;
-    uint64_t wake_seq = 0;
-    std::atomic<bool> deadlock_victim{false};
-  };
-  /// One entry per transaction per lock name. A granted entry may carry a
-  /// pending conversion (upgrade) to `conv_target`; conversions have
-  /// priority over new waiters and keep the original grant while waiting.
+  struct TxnLockState;
+  /// One transaction's request on one name, in its transaction's state
+  /// and, while `linked`, in its head's FIFO (granted before waiting). A
+  /// granted request may carry a pending conversion to `conv_target`, which
+  /// has priority over new waiters and keeps the original grant while it
+  /// waits. Fields but `name`/`txn` change only under the shard latch.
   struct Request {
-    TxnId txn;
-    TxnLockState* owner;
-    LockMode mode;  // granted mode when granted; requested mode when waiting
+    LockName name;
+    TxnId txn = kInvalidTxnId;
+    TxnLockState* owner = nullptr;
+    Request* prev = nullptr;
+    Request* next = nullptr;
+    LockMode mode = LockMode::kIS;  // granted mode, or the requested one
+    LockMode conv_target = LockMode::kIS;
+    bool linked = false;  // false: released or withdrawn; reused for `name`
     bool granted = false;
     bool converting = false;
-    LockMode conv_target = LockMode::kIS;
-    LockMode prior_mode = LockMode::kIS;
     uint64_t wait_start_ns = 0;  // set while waiting or converting
     uint64_t grant_ns = 0;       // when the current mode was granted
   };
-  struct Queue {
-    std::list<Request> reqs;  // arrival order; waiters FIFO among themselves
+  /// One lock name's queue; `first == nullptr` marks a free table slot.
+  struct Head {
+    LockName name;
+    Request* first = nullptr;
+    Request* last = nullptr;
+    uint32_t granted[5] = {};  // granted requests per mode
+    uint32_t converters = 0;   // granted requests with a pending conversion
+    uint32_t waiters = 0;      // requests not yet granted
+  };
+  static const LockName& Key(const Head& h) { return h.name; }
+  static const LockName& Key(const Request* r) { return r->name; }
+  static bool Free(const Head& h) { return h.first == nullptr; }
+  static bool Free(const Request* r) { return r == nullptr; }
+  /// Open addressing by lock name (T = Head or Request*): linear probing,
+  /// power-of-two size, at most half full, backward-shift deletion.
+  template <class T>
+  struct FlatTable {
+    std::vector<T> slots;
+    size_t used = 0;
+    size_t Home(const LockName& name) const {  // bits apart from the shard's
+      return (Mix(name) >> 40) & (slots.size() - 1);
+    }
+    /// The slot holding `name`, else the free slot that ends its run.
+    T& Probe(const LockName& name) {
+      size_t i = Home(name);
+      while (!Free(slots[i]) && !(Key(slots[i]) == name)) {
+        i = (i + 1) & (slots.size() - 1);
+      }
+      return slots[i];
+    }
+    T* Find(const LockName& name) {
+      if (used == 0) return nullptr;
+      T& slot = Probe(name);
+      return Free(slot) ? nullptr : &slot;
+    }
+    /// A free slot for `name`, which the caller fills at once.
+    T& Insert(const LockName& name) {
+      if (++used * 2 > slots.size()) {
+        std::vector<T> old(std::max<size_t>(8, slots.size() * 2));
+        old.swap(slots);
+        for (T& e : old) {
+          if (!Free(e)) Probe(Key(e)) = e;
+        }
+      }
+      return Probe(name);
+    }
+    void Erase(T* slot) {
+      const size_t mask = slots.size() - 1;
+      size_t hole = slot - slots.data();
+      for (size_t j = (hole + 1) & mask; !Free(slots[j]); j = (j + 1) & mask) {
+        if (((j - Home(Key(slots[j]))) & mask) >= ((j - hole) & mask)) {
+          slots[hole] = slots[j];
+          hole = j;
+        }
+      }
+      slots[hole] = T{};
+      --used;
+    }
+  };
+  static constexpr size_t kChunkRequests = 64;
+  static constexpr size_t kKeepIndex = 256;  // slots a recycled index keeps
+  using Chunk = std::array<Request, kChunkRequests>;
+  /// Per-transaction lock state, recycled through its registry shard. Only
+  /// the owning transaction touches `chunks`, `count` and `index`.
+  struct TxnLockState {
+    std::atomic<TxnId> owner{kInvalidTxnId};
+    /// Granted requests; changed under the granted name's shard latch.
+    std::atomic<uint32_t> held{0};
+    /// Requests in arrival order, in chunks so their addresses are stable.
+    std::vector<std::unique_ptr<Chunk>> chunks;
+    uint32_t count = 0;
+    FlatTable<Request*> index;
+    /// A waiter sleeps on `cv` with `mu` until `wake_seq` moves; Wake()
+    /// bumps it under `mu` for every grant and deadlock verdict.
+    std::mutex mu;
+    std::condition_variable cv;
+    uint64_t wake_seq = 0;
+    std::atomic<bool> deadlock_victim{false};
+    Request& At(uint32_t i) {
+      return (*chunks[i / kChunkRequests])[i % kChunkRequests];
+    }
   };
   /// Lockable (lock/unlock take the latch in X mode) for std::unique_lock.
   struct alignas(64) Shard {
     void lock() { latch.LockExclusive(); }
     void unlock() { latch.UnlockExclusive(); }
     RwLatch latch;
-    std::unordered_map<LockName, Queue, LockNameHash> table;
+    FlatTable<Head> heads;
   };
+  /// [0, active) are live transactions' states, the rest recycled ones,
+  /// freed only with the manager (so a hint naming it is live memory).
   struct alignas(64) TxnShard {
     std::mutex mu;
-    std::unordered_map<TxnId, std::unique_ptr<TxnLockState>> states;
+    std::vector<std::unique_ptr<TxnLockState>> states;
+    size_t active = 0;
   };
   /// Latches every name shard, in index order, for as long as it lives.
   struct AllShards {
@@ -179,30 +262,49 @@ class LockManager {
     std::array<Shard, kNameShards>& shards;
   };
 
+  static uint64_t Mix(const LockName& name) {
+    return LockNameHash()(name) * 0x9e3779b97f4a7c15ull;
+  }
   Shard& ShardOf(const LockName& name) { return shards_[ShardIndex(name)]; }
   TxnShard& TxnShardOf(TxnId txn) { return txn_shards_[txn % kTxnShards]; }
-  /// The transaction's state, created on first use.
-  TxnLockState& State(TxnId txn);
-  /// The transaction's state, or nullptr.
-  TxnLockState* FindState(TxnId txn);
-  Request* FindRequest(Queue& q, TxnId txn);
-  bool ConversionGrantable(const Queue& q, const Request& r) const;
-  bool NewGrantable(const Queue& q, const Request& r) const;
-  void GrantWaiters(Queue& q);
+  /// The transaction's state, through this thread's hint or the registry;
+  /// nullptr if it has none and `create` is false.
+  TxnLockState* FindState(TxnId txn, bool create = false);
+  static Request* FindRequest(TxnLockState& st, const LockName& name) {
+    Request** r = st.index.Find(name);
+    return r == nullptr ? nullptr : *r;
+  }
+  /// True if `want` is compatible with every granted mode but `except`'s.
+  static bool Compatible(const Head& h, LockMode want, const Request* except);
+  /// Grant `r` (a waiter, or a holder converting) `mode` at `now_ns`.
+  static void Grant(Head& h, Request& r, LockMode mode, uint64_t now_ns);
+  /// Take `r` out of its head, let any waiter it blocked in, and drop the
+  /// head if that left it empty; holds `sh`.
+  void Unlink(Shard& sh, Head& h, Request& r);
+  /// Grant conversions, then new waiters in FIFO order, while grantable,
+  /// and wake each grantee.
+  void GrantWaiters(Head& h);
   /// Bump `st`'s wake_seq under its `mu` and notify its waiter.
   static void Wake(TxnLockState& st);
   /// Blocks until `mine` is granted (`converting`: its conversion applied)
   /// or the transaction is chosen as a deadlock victim; returns false for
-  /// the latter. Each round drops `lk` to run the detector and the
-  /// watchdog with every shard held, then sleeps on `st.cv` for at most
-  /// 5 ms unless woken.
+  /// the latter. Sleeps on `st.cv` for kDetectAfter first; each round then
+  /// drops `lk` to run the detector and the watchdog with every shard held,
+  /// and sleeps at most kDetectPoll unless woken.
   bool WaitForGrant(std::unique_lock<Shard>& lk, TxnLockState& st,
                     TxnId txn, const LockName& name, Request& mine,
                     bool converting);
-  /// Remove `txn`'s requests on `name`; holds `sh`.
-  void RemoveLocked(Shard& sh, const LockName& name, TxnId txn);
+  /// Calls f(head) for every queue. Must hold all shards (as must every
+  /// *AllLocked helper below).
+  template <class F>
+  void ForEachHeadAllLocked(F&& f) const {
+    for (const Shard& sh : shards_) {
+      for (const Head& h : sh.heads.slots) {
+        if (h.first != nullptr) f(h);
+      }
+    }
+  }
   /// The waits-for edge set, one edge per (waiter, blocking holder, name).
-  /// Must hold all shards (as must every *AllLocked helper below).
   std::vector<WaitsForEdge> BuildEdgesAllLocked() const;
   /// Deadlock check; returns the chosen victim (kInvalidTxnId if none) and,
   /// when a cycle is found, the member txns in walk order via `cycle_out`.
@@ -221,6 +323,13 @@ class LockManager {
   /// shard.
   void MaybeRearmWatchdog();
 
+  static inline std::atomic<uint64_t> next_id_{1};
+  /// The calling thread's last state: valid only while hint_manager_ is
+  /// this manager's id_ (ids start at 1), and only for the transaction the
+  /// state's `owner` names.
+  static inline thread_local uint64_t hint_manager_ = 0;
+  static inline thread_local TxnLockState* hint_state_ = nullptr;
+  const uint64_t id_ = next_id_.fetch_add(1, std::memory_order_relaxed);
   Metrics* metrics_;
   LockObserver observer_;
   std::array<Shard, kNameShards> shards_;

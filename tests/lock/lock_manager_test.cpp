@@ -1,13 +1,16 @@
 // Lock manager tests: grant/conflict/wait, conditional requests, instant
 // duration, conversions (upgrades), release-all, deadlock detection with
 // youngest-victim selection, the observer hook, prompt wake-up of a granted
-// waiter, and the spread of record names over the name shards.
+// waiter, late deadlock detection, the per-thread state hint across
+// managers and recycled states, and the spread of record names over the
+// name shards.
 #include "lock/lock_manager.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -244,6 +247,94 @@ TEST_F(LockManagerTest, GrantWakesWaiterWithoutPolling) {
   std::sort(handoff_ns.begin(), handoff_ns.end());
   EXPECT_LT(handoff_ns[kHandoffs / 2], 2'000'000u)
       << "median grant-to-wake handoff reached the 5 ms poll";
+}
+
+TEST_F(LockManagerTest, WaitGrantedWithinThresholdRunsNoDetection) {
+  // A conflict the holder ends before kDetectAfter must not latch the whole
+  // table for a detection round. An attempt whose wait ran past the
+  // threshold (a slow scheduler) proves nothing and is skipped.
+  const uint64_t threshold_ns =
+      std::chrono::nanoseconds(LockManager::kDetectAfter).count();
+  int fast = 0;
+  for (int attempt = 0; attempt < 100 && fast < 10; ++attempt) {
+    ASSERT_TRUE(
+        lm_.Lock(1, NameA(), LockMode::kX, LockDuration::kCommit, false).ok());
+    const uint64_t waits_before = m_.lock_waits.load();
+    const uint64_t rounds_before = m_.lock_detect_rounds.load();
+    std::atomic<uint64_t> lock_ns{0};
+    std::thread waiter([&] {
+      const uint64_t start = MonotonicNowNs();
+      Status s = lm_.Lock(2, NameA(), LockMode::kX, LockDuration::kCommit, false);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      lock_ns = MonotonicNowNs() - start;
+    });
+    while (m_.lock_waits.load() == waits_before) std::this_thread::yield();
+    lm_.ReleaseAll(1);
+    waiter.join();
+    lm_.ReleaseAll(2);
+    if (lock_ns.load() >= threshold_ns) continue;
+    ++fast;
+    EXPECT_EQ(m_.lock_detect_rounds.load(), rounds_before)
+        << "a " << lock_ns.load() << " ns wait ran a detection round";
+  }
+  EXPECT_GT(fast, 0) << "no wait ended within the threshold";
+  // A wait that outlasts the threshold does run rounds.
+  ASSERT_TRUE(
+      lm_.Lock(1, NameA(), LockMode::kX, LockDuration::kCommit, false).ok());
+  const uint64_t rounds_before = m_.lock_detect_rounds.load();
+  std::thread waiter([&] {
+    EXPECT_TRUE(
+        lm_.Lock(2, NameA(), LockMode::kX, LockDuration::kCommit, false).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  lm_.ReleaseAll(1);
+  waiter.join();
+  lm_.ReleaseAll(2);
+  EXPECT_GT(m_.lock_detect_rounds.load(), rounds_before);
+}
+
+TEST(LockManagerHintTest, HintDoesNotOutliveItsManager) {
+  // This thread's state hint names txn 7 in manager A. Once A is gone, B
+  // must not follow the hint into A's freed states, although it names the
+  // same transaction id (AddressSanitizer reports it if B does).
+  Metrics m;
+  auto a = std::make_unique<LockManager>(&m);
+  ASSERT_TRUE(
+      a->Lock(7, NameA(), LockMode::kS, LockDuration::kCommit, false).ok());
+  a->ReleaseAll(7);
+  a.reset();
+  LockManager b(&m);
+  ASSERT_TRUE(b.Lock(7, NameA(), LockMode::kX, LockDuration::kCommit, false).ok());
+  EXPECT_TRUE(b.Holds(7, NameA(), LockMode::kX));
+  EXPECT_EQ(b.HeldCount(7), 1u);
+  b.ReleaseAll(7);
+  EXPECT_EQ(b.HeldCount(7), 0u);
+}
+
+TEST(LockManagerHintTest, HintMissesARecycledState) {
+  // Txns 7 and 7 + kTxnShards share a registry shard, so the second reuses
+  // the state the first released. This thread's hint still points at that
+  // state under txn 7; its next request must not land in the other's.
+  Metrics m;
+  LockManager lm(&m);
+  const TxnId other = 7 + LockManager::kTxnShards;
+  ASSERT_TRUE(
+      lm.Lock(7, NameA(), LockMode::kS, LockDuration::kCommit, false).ok());
+  lm.ReleaseAll(7);
+  std::thread([&] {
+    EXPECT_TRUE(
+        lm.Lock(other, NameB(), LockMode::kS, LockDuration::kCommit, false)
+            .ok());
+  }).join();
+  ASSERT_TRUE(
+      lm.Lock(7, NameA(), LockMode::kS, LockDuration::kCommit, false).ok());
+  EXPECT_EQ(lm.HeldCount(7), 1u);
+  EXPECT_EQ(lm.HeldCount(other), 1u);
+  EXPECT_TRUE(lm.Holds(7, NameA(), LockMode::kS));
+  EXPECT_FALSE(lm.Holds(other, NameA(), LockMode::kS));
+  lm.ReleaseAll(7);
+  lm.ReleaseAll(other);
+  EXPECT_TRUE(lm.Snapshot().queues.empty());
 }
 
 TEST_F(LockManagerTest, RecordNamesSpreadAcrossShards) {

@@ -71,8 +71,9 @@ TEST(MetricsEmission, NameTablesMatchCounts) {
   // The tables are generated from the same X-macros; spot-check ordering
   // against known first/last members.
   EXPECT_STREQ(Metrics::CounterNames()[0], "lock_requests");
+  // lock_detect_rounds was appended after btree_backoffs.
   EXPECT_STREQ(Metrics::CounterNames()[Metrics::kCounterCount - 1],
-               "btree_backoffs");
+               "lock_detect_rounds");
   EXPECT_STREQ(Metrics::HistogramNames()[0], "commit_latency");
   // PR 9 appended the seven commit_seg_* histograms after smo_latency.
   EXPECT_STREQ(Metrics::HistogramNames()[Metrics::kHistogramCount - 1],
