@@ -307,11 +307,12 @@ namespace btinternal {
 
 Status SearchForward(EngineContext* ctx, ObjectId index_id, PageGuard& leaf,
                      std::string_view value, Rid rid, bool exclusive,
-                     NextSearch* out) {
+                     NextSearch* out, int from) {
   constexpr int kMaxRestarts = 10000;
   PageView v = leaf.view();
   bool exact = false;
-  uint16_t pos = bt::LeafLowerBound(v, value, rid, &exact);
+  uint16_t pos = from >= 0 ? static_cast<uint16_t>(from)
+                           : bt::LeafLowerBound(v, value, rid, &exact);
   if (exact && exclusive) ++pos;
   if (pos < v.slot_count()) {
     bt::LeafEntry e = bt::DecodeLeafCell(v.Cell(pos));

@@ -2,7 +2,8 @@
 //
 // The cursor remembers the leaf holding the current key and that leaf's
 // page LSN. Fetch Next latches the remembered leaf and, if its LSN is
-// unchanged since the last positioning, advances in place; otherwise it
+// unchanged since the last positioning, advances in place from the
+// remembered slot (no search of the leaf); otherwise it
 // repositions with a fresh traversal (the current key may have been deleted
 // by this very transaction, or the leaf may have split). Repositioning goes
 // through TraverseToLeafRead, the latch-coupled read descent. The located
@@ -91,9 +92,11 @@ Status BTree::FetchNext(Transaction* txn, ScanCursor* cursor, FetchResult* out) 
       ARIES_RETURN_NOT_OK(
           TraverseToLeafRead(cursor->last_value, cursor->last_rid, &leaf));
     }
+    // On the unchanged leaf the cursor's key is still at `pos`.
     NextSearch next;
     Status s = SearchForward(ctx_, index_id_, leaf, cursor->last_value,
-                             cursor->last_rid, /*exclusive=*/true, &next);
+                             cursor->last_rid, /*exclusive=*/true, &next,
+                             have_leaf ? cursor->pos + 1 : -1);
     if (s.IsRetry()) {
       leaf.Release();
       WaitForSmo();

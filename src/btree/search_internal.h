@@ -20,9 +20,11 @@ struct NextSearch {
 };
 
 /// kRetry when a chain page looks mid-SMO (caller should wait and restart).
+/// `from` >= 0 is the position on `leaf` to start at instead of searching
+/// it (Fetch Next on an unchanged leaf: one past the cursor's key).
 Status SearchForward(EngineContext* ctx, ObjectId index_id, PageGuard& leaf,
                      std::string_view value, Rid rid, bool exclusive,
-                     NextSearch* out);
+                     NextSearch* out, int from = -1);
 
 }  // namespace btinternal
 }  // namespace ariesim

@@ -50,17 +50,15 @@ BufferPool::BufferPool(DiskManager* disk, LogManager* log, size_t frames,
       log_(log),
       metrics_(metrics),
       page_size_(disk->page_size()),
-      verify_checksums_(verify_checksums) {
+      verify_checksums_(verify_checksums),
+      frames_(frames) {
   void* dir = mmap(nullptr, kDirBytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
   if (dir == MAP_FAILED) throw std::bad_alloc();
   chunks_ = static_cast<std::atomic<Slot*>*>(dir);
-  frames_.reserve(frames);
-  for (size_t i = 0; i < frames; ++i) {
-    auto f = std::make_unique<Frame>();
-    f->data = std::make_unique<char[]>(page_size_);
-    free_frames_.push_back(f.get());
-    frames_.push_back(std::move(f));
+  for (Frame& f : frames_) {
+    f.data = std::make_unique<char[]>(page_size_);
+    free_frames_.push_back(&f);
   }
   free_count_.store(frames, std::memory_order_relaxed);
 }
@@ -101,7 +99,7 @@ Frame* BufferPool::Mapped(PageId id) {
   return IsFrame(f) ? f : nullptr;
 }
 
-bool BufferPool::Unmap(Shard& sh, PageId id, Frame* f, int bias) {
+bool BufferPool::Unmap(PageId id, Frame* f, int bias) {
   if (Mapped(id) != f) return false;
   int unpinned = 0;  // acquire: the last holder's writes reach write-back
   if (!f->pin_count.compare_exchange_strong(unpinned, kEvicting,
@@ -110,19 +108,18 @@ bool BufferPool::Unmap(Shard& sh, PageId id, Frame* f, int bias) {
     return false;
   }
   SlotOf(id, false)->store(nullptr, std::memory_order_relaxed);
-  (f->prev_mapped != nullptr ? f->prev_mapped->next_mapped : sh.mapped) =
-      f->next_mapped;
-  if (f->next_mapped != nullptr) f->next_mapped->prev_mapped = f->prev_mapped;
   f->pin_count.fetch_add(bias - kEvicting, std::memory_order_release);
   return true;
 }
 
-void BufferPool::Publish(Shard& sh, Slot* slot, Frame* f) {
-  f->prev_mapped = nullptr;
-  f->next_mapped = sh.mapped;
-  if (sh.mapped != nullptr) sh.mapped->prev_mapped = f;
-  sh.mapped = f;
-  slot->store(f, std::memory_order_release);
+template <typename Fn>
+void BufferPool::ForEachMapped(Shard& sh, Fn fn) {
+  for (Frame& f : frames_) {
+    const PageId pid = f.page_id.load(std::memory_order_relaxed);
+    if (pid != kInvalidPageId && &ShardFor(pid) == &sh && Mapped(pid) == &f) {
+      fn(&f);
+    }
+  }
 }
 
 void BufferPool::PushFree(Frame* f) {
@@ -147,28 +144,32 @@ Frame* BufferPool::ClaimFrame() {
   // Passes after the third yield each batch: when a pool is not much larger
   // than its thread count, the one unpinned frame can move between looks.
   const size_t n = frames_.size();
-  for (size_t step = 0; step < kSweepPasses * n; step += kClockBatch) {
-    if (step >= 3 * n) std::this_thread::yield();
-    const size_t hand =
-        clock_hand_.fetch_add(kClockBatch, std::memory_order_relaxed);
-    for (size_t i = 0; i < kClockBatch; ++i) {
-      Frame* f = frames_[(hand + i) % n].get();
-      if (f->pin_count.load(std::memory_order_relaxed) != 0) continue;
-      if (f->referenced.load(std::memory_order_relaxed) && step < 2 * n) {
-        f->referenced.store(false, std::memory_order_relaxed);
-        continue;
-      }
-      const PageId pid = f->page_id.load(std::memory_order_relaxed);
-      if (pid == kInvalidPageId) continue;  // free, or a failed load's
-      Shard& sh = ShardFor(pid);
-      std::lock_guard<std::mutex> slk(sh.mu);
-      if (!Unmap(sh, pid, f, 1)) continue;
-      // Same critical section as the unmap: the page never vanishes from
-      // both its slot and writing_back, so no fetch can reload a stale
-      // image and no DirtyPageTable() can miss it.
-      if (f->dirty) sh.writing_back.emplace(pid, f->rec_lsn);
-      return f;
+  ClockBatch& b = batch_;
+  for (size_t step = 0; step < kSweepPasses * n; ++step) {
+    if (b.pool != id_ || b.left == 0) {
+      if (step >= 3 * n) std::this_thread::yield();
+      const size_t hand =
+          clock_hand_.fetch_add(kClockBatch, std::memory_order_relaxed);
+      b = {id_, &frames_[hand % n], kClockBatch};
     }
+    Frame* f = b.next;
+    b.next = f == &frames_.back() ? frames_.data() : f + 1;
+    --b.left;
+    if (f->pin_count.load(std::memory_order_relaxed) != 0) continue;
+    if (f->referenced.load(std::memory_order_relaxed) && step < 2 * n) {
+      f->referenced.store(false, std::memory_order_relaxed);
+      continue;
+    }
+    const PageId pid = f->page_id.load(std::memory_order_relaxed);
+    if (pid == kInvalidPageId) continue;  // free, or a failed load's
+    Shard& sh = ShardFor(pid);
+    std::lock_guard<std::mutex> slk(sh.mu);
+    if (!Unmap(pid, f, 1)) continue;
+    // Same critical section as the unmap: the page never vanishes from both
+    // its slot and writing_back, so no fetch can reload a stale image and no
+    // DirtyPageTable() can miss it.
+    if (f->dirty) sh.writing_back.emplace(pid, f->rec_lsn);
+    return f;
   }
   return nullptr;
 }
@@ -193,7 +194,9 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
       // from disk before the write-back lands would resurrect a stale
       // version and silently lose committed updates.
       if (f == nullptr && sh.writing_back.count(id) == 0) break;
+      ++sh.waiters;
       sh.cv.wait(lk);
+      --sh.waiters;
     }
     slot->store(LoadingMark(), std::memory_order_relaxed);
     // Instant restart: the quarantine keeps the schedule stable until this
@@ -203,19 +206,19 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
       pending_rec_lsn = pit->second;
     }
   }
+  // Miss latency: everything from claiming a frame to the page being
+  // usable — free list or CLOCK sweep, evict write-back, disk read,
+  // checksum verify and (worst case) online repair.
+  const uint64_t miss_start_ns = MonotonicNowNs();
+  ARIES_TRACE_SPAN(miss_span, "bp.miss", TraceCat::kBuffer, id);
   Frame* victim = ClaimFrame();
   if (victim == nullptr) {
     std::lock_guard<std::mutex> lk(sh.mu);
     slot->store(nullptr, std::memory_order_relaxed);
-    sh.cv.notify_all();
+    Wake(sh);
     return Status::Busy("buffer pool exhausted (all frames pinned)");
   }
 
-  // Miss latency: everything between claiming the frame and the page being
-  // usable — evict write-back, disk read, checksum verify and (worst case)
-  // online repair.
-  const uint64_t miss_start_ns = MonotonicNowNs();
-  ARIES_TRACE_SPAN(miss_span, "bp.miss", TraceCat::kBuffer, id);
   Status s;
   bool victim_persisted = true;
   if (victim->dirty) {
@@ -233,10 +236,10 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
       // prefix may not even be durable yet. No other thread can have
       // reloaded the page meanwhile: its id sat in writing_back until this
       // same critical section.
-      Publish(old, SlotOf(old_id, false), victim);
+      SlotOf(old_id, false)->store(victim, std::memory_order_release);
       victim->pin_count.fetch_sub(1, std::memory_order_release);
     }
-    old.cv.notify_all();
+    Wake(old);
   }
   if (s.ok()) {
     s = disk_->ReadPage(id, victim->data.get());
@@ -315,7 +318,7 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
     PushFree(victim);
   }
   std::lock_guard<std::mutex> lk(sh.mu);
-  sh.cv.notify_all();
+  Wake(sh);
   if (!s.ok()) {
     slot->store(nullptr, std::memory_order_relaxed);
     return s;
@@ -335,7 +338,7 @@ Result<Frame*> BufferPool::FetchFrame(PageId id) {
       metrics_->pages_recovered_lazily.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  Publish(sh, slot, victim);
+  slot->store(victim, std::memory_order_release);
   return victim;
 }
 
@@ -474,7 +477,7 @@ Status BufferPool::DiscardPage(PageId id) {
   std::lock_guard<std::mutex> lk(sh.mu);
   Frame* f = Mapped(id);
   if (f == nullptr) return Status::OK();
-  if (!Unmap(sh, id, f, 0)) {
+  if (!Unmap(id, f, 0)) {
     return Status::Busy("cannot discard pinned page " + std::to_string(id));
   }
   f->page_id.store(kInvalidPageId, std::memory_order_relaxed);
@@ -519,19 +522,18 @@ bool BufferPool::NextPendingRedo(PageId* id) {
 void BufferPool::DropAll() {
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh.mu);
-    for (Frame* f = sh.mapped; f != nullptr; f = f->next_mapped) {
+    ForEachMapped(sh, [&](Frame* f) {
       SlotOf(f->page_id, false)->store(nullptr, std::memory_order_relaxed);
       f->page_id.store(kInvalidPageId, std::memory_order_relaxed);
       f->pin_count.store(0, std::memory_order_relaxed);  // quiesced
       f->dirty = false;
       f->rec_lsn = kNullLsn;
-    }
-    sh.mapped = nullptr;
+    });
     sh.pending_redo.clear();
   }
   std::lock_guard<std::mutex> flk(free_mu_);
   free_frames_.clear();
-  for (auto& f : frames_) free_frames_.push_back(f.get());
+  for (Frame& f : frames_) free_frames_.push_back(&f);
   free_count_.store(free_frames_.size(), std::memory_order_relaxed);
 }
 
@@ -539,9 +541,9 @@ std::vector<std::pair<PageId, Lsn>> BufferPool::DirtyPageTable() {
   std::vector<std::pair<PageId, Lsn>> dpt;
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lk(sh.mu);
-    for (Frame* f = sh.mapped; f != nullptr; f = f->next_mapped) {
+    ForEachMapped(sh, [&](Frame* f) {
       if (f->dirty) dpt.emplace_back(f->page_id, f->rec_lsn);
-    }
+    });
     // Evicted dirty frames whose write-back is still in flight are out of
     // their slots but not yet durable; count them as dirty so a concurrent
     // fuzzy checkpoint stays conservative. If the write-back succeeds the

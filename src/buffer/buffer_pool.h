@@ -40,8 +40,6 @@ struct Frame {
   std::atomic<bool> referenced{false};  ///< CLOCK reference bit
   bool dirty = false;      // guarded by the shard of the frame's page
   Lsn rec_lsn = kNullLsn;  ///< LSN that first dirtied the page (for the DPT)
-  /// The shard's list of mapped frames, guarded like `dirty`.
-  Frame *prev_mapped = nullptr, *next_mapped = nullptr;
   alignas(64) RwLatch latch;  // off the pin counter's cache line
 };
 
@@ -179,8 +177,7 @@ class BufferPool {
   struct alignas(64) Shard {
     std::mutex mu;
     std::condition_variable cv;  ///< a loading mark or `writing_back` left
-    /// Head of the frames mapped to this shard's pages (DirtyPageTable()).
-    Frame* mapped = nullptr;
+    int waiters = 0;  ///< threads in `cv.wait`: Wake() notifies only if any
     /// Evicted dirty frames still being written back, keyed to rec_lsn.
     /// Fetches must not reload them from disk until the write lands, and
     /// DirtyPageTable() must report them: a failed write-back re-maps the
@@ -217,9 +214,14 @@ class BufferPool {
   Frame* Mapped(PageId id);  // the frame mapped to `id`; holds shard mutex
   /// Unmap `f` from `id`'s slot if it is there and unpinned (caller holds
   /// the shard mutex), leaving the count at `bias` plus hitters' transients.
-  bool Unmap(Shard& sh, PageId id, Frame* f, int bias);
-  /// Map `f` (fields set) into `slot`; caller holds the shard mutex.
-  void Publish(Shard& sh, Slot* slot, Frame* f);
+  bool Unmap(PageId id, Frame* f, int bias);
+  /// Calls fn(frame) for each frame mapped to a page of `sh`, which the
+  /// caller holds: a scan of the frame array, filtered by shard.
+  template <typename Fn>
+  void ForEachMapped(Shard& sh, Fn fn);
+  static void Wake(Shard& sh) {  // caller holds sh.mu
+    if (sh.waiters != 0) sh.cv.notify_all();
+  }
   void PushFree(Frame* f);
   static constexpr size_t kClockBatch = 8;  // frames per hand fetch_add
   static constexpr size_t kSweepPasses = 16;  // before ClaimFrame gives up
@@ -227,6 +229,18 @@ class BufferPool {
   /// from its slot (moving a dirty one into its shard's `writing_back`).
   /// The frame comes back pinned once; nullptr if every frame is pinned.
   Frame* ClaimFrame();
+  /// The calling thread's `left` unvisited CLOCK positions from `next`
+  /// (wrapping) in the frames of the pool whose instance id is `pool`. Kept
+  /// across claims, so a thread takes the shared hand once per kClockBatch
+  /// frames it visits. Zero-initialized: no pool has id 0.
+  struct ClockBatch {
+    uint64_t pool;
+    Frame* next;
+    size_t left;
+  };
+  static inline thread_local ClockBatch batch_;
+  static inline std::atomic<uint64_t> next_id_{1};
+  const uint64_t id_ = next_id_.fetch_add(1, std::memory_order_relaxed);
 
   /// Returns the frame holding `id`, pinned. Caller latches afterwards.
   Result<Frame*> FetchFrame(PageId id);
@@ -249,7 +263,7 @@ class BufferPool {
   std::atomic<Slot*>* chunks_ = nullptr;  // mmap'd; untouched pages are free
   std::mutex chunk_mu_;          // guards chunk_store_; taken to add a chunk
   std::vector<std::unique_ptr<Slot[]>> chunk_store_;
-  std::vector<std::unique_ptr<Frame>> frames_;
+  std::vector<Frame> frames_;  // one array: CLOCK batches are ranges of it
   std::atomic<size_t> clock_hand_{0};
   PageContention latch_contention_;
   std::mutex free_mu_;  // guards free_frames_ only

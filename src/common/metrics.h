@@ -89,7 +89,7 @@ struct MetricsSnapshot;
   X(commit_latency)     /* TransactionManager::Commit, log append->ack */ \
   X(lock_wait_latency)  /* blocked LockManager::Lock wait time */         \
   X(latch_wait_latency) /* contended page/tree latch acquisitions */      \
-  X(page_miss_latency)  /* BufferPool miss: evict + read + verify */      \
+  X(page_miss_latency)  /* BufferPool miss: claim+evict+read+verify */    \
   X(log_flush_latency)  /* one WAL tail write + fsync */                  \
   X(repair_latency)     /* one online page rebuild from the log */        \
   X(lazy_replay_latency) /* one first-touch page redo (instant restart) */\

@@ -23,6 +23,11 @@ void ScramblePage(char* buf, size_t page_size) {
     buf[start + i] = static_cast<char>(buf[start + i] ^ 0x5A);
   }
 }
+
+std::atomic<size_t> next_reader{0};
+/// The calling thread's read descriptor, modulo their count.
+thread_local const size_t reader_index =
+    next_reader.fetch_add(1, std::memory_order_relaxed);
 }  // namespace
 
 DiskManager::DiskManager(std::string path, size_t page_size, Metrics* metrics,
@@ -39,10 +44,22 @@ Status DiskManager::Open() {
   if (fd_ < 0) {
     return Status::IOError("open " + path_ + ": " + std::strerror(errno));
   }
+  const unsigned n = std::clamp(std::thread::hardware_concurrency(), 1u, 16u);
+  while (read_fds_.size() < n) {
+    int fd = ::open(path_.c_str(), O_RDONLY);
+    if (fd < 0) {
+      Status s = Status::IOError("open " + path_ + ": " + std::strerror(errno));
+      Close();
+      return s;
+    }
+    read_fds_.push_back(fd);
+  }
   return Status::OK();
 }
 
 void DiskManager::Close() {
+  for (int fd : read_fds_) ::close(fd);
+  read_fds_.clear();
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -96,7 +113,10 @@ Status DiskManager::ReadPageOnce(PageId id, char* buf) {
     }
   }
   off_t off = static_cast<off_t>(id) * static_cast<off_t>(page_size_);
-  ssize_t n = ::pread(fd_, buf, page_size_, off);
+  const int fd = read_fds_.empty()  // not open: pread fails with EBADF
+                     ? fd_
+                     : read_fds_[reader_index % read_fds_.size()];
+  ssize_t n = ::pread(fd, buf, page_size_, off);
   if (n < 0) {
     return Status::IOError("pread page " + std::to_string(id) + ": " +
                            std::strerror(errno));

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
@@ -63,7 +64,11 @@ class DiskManager {
   int retry_attempts_ = 1;
   uint32_t retry_base_delay_us_ = 0;
   uint32_t retry_max_delay_us_ = 0;
-  int fd_ = -1;
+  int fd_ = -1;  // writes, Sync and the file size
+  /// O_RDONLY descriptors for ReadPage, one per hardware thread (at most
+  /// 16): threads that pread through one `struct file` contend on its
+  /// reference count in the kernel.
+  std::vector<int> read_fds_;
   std::mutex mu_;  // serializes file extension bookkeeping
 };
 

@@ -12,6 +12,10 @@
 //    in flight) must not stop a fetch whose key is within the page.
 //  - Cursor FetchNext across a leaf split repositions through the read
 //    descent and must not skip or duplicate keys.
+//  - On an unchanged leaf FetchNext steps from the remembered position;
+//    a key the scanning transaction inserts into that leaf changes its LSN
+//    and must still be returned, and one it inserts before the cursor's
+//    key must not make the scan repeat a key.
 //
 // Seed list overridable via ARIESIM_STRESS_SEEDS ("7", "1,2,9", "1-32").
 #include <gtest/gtest.h>
@@ -278,6 +282,39 @@ TEST_F(OlcTest, CursorFetchNextRepositionsAcrossLeafSplit) {
   EXPECT_EQ(rest.back(), StormKey(0, 39));
   EXPECT_GT(db_->metrics().read_descent_latency.count(), descents_before)
       << "repositioning should run the read descent";
+}
+
+TEST_F(OlcTest, CursorFetchNextReturnsOwnInsertIntoItsLeaf) {
+  Fill(40);
+  Transaction* txn = db_->Begin();
+  ScanCursor cur;
+  FetchResult r;
+  ASSERT_OK(tree_->OpenScan(txn, StormKey(0, 0), FetchCond::kGe, &cur, &r));
+  ASSERT_TRUE(r.found);
+  ASSERT_OK(tree_->FetchNext(txn, &cur, &r));  // positions on the leaf
+  ASSERT_EQ(r.value, StormKey(0, 1));
+  // Unchanged leaf: the next keys come from the remembered position, with
+  // no descent.
+  const uint64_t descents_before = db_->metrics().read_descent_latency.count();
+  ASSERT_OK(tree_->FetchNext(txn, &cur, &r));
+  ASSERT_EQ(r.value, StormKey(0, 2));
+  EXPECT_EQ(db_->metrics().read_descent_latency.count(), descents_before);
+  // The scanning transaction inserts right after its cursor's key, into the
+  // cursor's leaf: the leaf's LSN changes.
+  const std::string mine = StormKey(0, 2) + "-mine";
+  ASSERT_OK(tree_->Insert(txn, mine, StormRid(1, 0)));
+  ASSERT_OK(tree_->FetchNext(txn, &cur, &r));
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.value, mine);
+  ASSERT_OK(tree_->FetchNext(txn, &cur, &r));
+  EXPECT_EQ(r.value, StormKey(0, 3));
+  // An insert before the cursor's key shifts its slot: the remembered
+  // position is stale, and trusting it would return StormKey(0, 3) again.
+  ASSERT_OK(tree_->Insert(txn, StormKey(0, 1) + "-early", StormRid(1, 1)));
+  ASSERT_OK(tree_->FetchNext(txn, &cur, &r));
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.value, StormKey(0, 4));
+  ASSERT_OK(db_->Commit(txn));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -112,6 +113,33 @@ TEST_F(BufferPoolTest, PoolExhaustionReturnsBusy) {
   auto d = pool->FetchPage(3, LatchMode::kShared);
   ASSERT_TRUE(d.ok()) << d.status().ToString();
   EXPECT_EQ(d.value().page_id(), 3u);
+}
+
+// A thread keeps its unvisited CLOCK positions across claims, keyed to the
+// pool's instance id. Once pool A is gone, the positions the thread kept in
+// A must not be swept in pool B, even if B lands at A's address: they point
+// into A's freed frames. A sweep of them is a heap-use-after-free under
+// ASan; without it, a claim must still come back with one of B's frames.
+TEST_F(BufferPoolTest, ClockBatchDoesNotOutliveItsPool) {
+  auto a = MakePool(4);
+  for (PageId id = 0; id < 5; ++id) {  // the fifth miss sweeps A's CLOCK
+    ASSERT_TRUE(a->FetchPage(id, LatchMode::kShared).ok());
+  }
+  a.reset();
+  auto b = MakePool(16);
+  std::set<char*> own;  // B's frame buffers, claimed from its free list
+  for (PageId id = 0; id < 16; ++id) {
+    auto g = b->FetchPage(id, LatchMode::kShared);
+    ASSERT_TRUE(g.ok());
+    own.insert(g.value().view().data());
+  }
+  ASSERT_EQ(own.size(), 16u);
+  for (PageId id = 16; id < 64; ++id) {  // each a CLOCK claim in B
+    auto g = b->FetchPage(id, LatchMode::kShared);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    EXPECT_EQ(own.count(g.value().view().data()), 1u) << "page " << id;
+    EXPECT_EQ(g.value().page_id(), id);
+  }
 }
 
 TEST_F(BufferPoolTest, DirtyPageTableTracksRecLsn) {
