@@ -263,7 +263,7 @@ class BufferPool {
   std::atomic<Slot*>* chunks_ = nullptr;  // mmap'd; untouched pages are free
   std::mutex chunk_mu_;          // guards chunk_store_; taken to add a chunk
   std::vector<std::unique_ptr<Slot[]>> chunk_store_;
-  std::vector<Frame> frames_;  // one array: CLOCK batches are ranges of it
+  std::vector<Frame> frames_;  // one array, which CLOCK batches walk
   std::atomic<size_t> clock_hand_{0};
   PageContention latch_contention_;
   std::mutex free_mu_;  // guards free_frames_ only
