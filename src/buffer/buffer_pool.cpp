@@ -144,13 +144,13 @@ Frame* BufferPool::ClaimFrame() {
   // Passes after the third yield each batch: when a pool is not much larger
   // than its thread count, the one unpinned frame can move between looks.
   const size_t n = frames_.size();
-  ClockBatch& b = batch_;
+  ClockBatch& b = batch_.Local();
   for (size_t step = 0; step < kSweepPasses * n; ++step) {
-    if (b.pool != id_ || b.left == 0) {
+    if (b.left == 0) {
       if (step >= 3 * n) std::this_thread::yield();
       const size_t hand =
           clock_hand_.fetch_add(kClockBatch, std::memory_order_relaxed);
-      b = {id_, &frames_[hand % n], kClockBatch};
+      b = {&frames_[hand % n], kClockBatch};
     }
     Frame* f = b.next;
     b.next = f == &frames_.back() ? frames_.data() : f + 1;

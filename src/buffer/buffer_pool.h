@@ -20,6 +20,7 @@
 #include "common/contention.h"
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/thread_cache.h"
 #include "common/types.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
@@ -230,17 +231,13 @@ class BufferPool {
   /// The frame comes back pinned once; nullptr if every frame is pinned.
   Frame* ClaimFrame();
   /// The calling thread's `left` unvisited CLOCK positions from `next`
-  /// (wrapping) in the frames of the pool whose instance id is `pool`. Kept
-  /// across claims, so a thread takes the shared hand once per kClockBatch
-  /// frames it visits. Zero-initialized: no pool has id 0.
+  /// (wrapping) in this pool's frames. Kept across claims, so a thread takes
+  /// the shared hand once per kClockBatch frames it visits.
   struct ClockBatch {
-    uint64_t pool;
-    Frame* next;
-    size_t left;
+    Frame* next = nullptr;
+    size_t left = 0;
   };
-  static inline thread_local ClockBatch batch_;
-  static inline std::atomic<uint64_t> next_id_{1};
-  const uint64_t id_ = next_id_.fetch_add(1, std::memory_order_relaxed);
+  ThreadCache<BufferPool, ClockBatch> batch_;
 
   /// Returns the frame holding `id`, pinned. Caller latches afterwards.
   Result<Frame*> FetchFrame(PageId id);

@@ -74,9 +74,12 @@ class Database {
 
   // -- transactions --------------------------------------------------------
   /// The returned transaction is owned by the engine. Once Commit,
-  /// CommitAsync or Rollback returns OK it is freed and the pointer must
-  /// not be used again (read id() before ending it). After an error it
-  /// stays valid, so the caller can still roll it back.
+  /// CommitAsync or Rollback returns OK it has ended: ending it again
+  /// returns InvalidArgument, but the engine recycles the object, so the
+  /// pointer may already name a later transaction (typically the next one
+  /// this thread begins) and must not be used for anything else (read id()
+  /// before ending it). After an error it stays valid, so the caller can
+  /// still roll it back.
   Transaction* Begin();
   Status Commit(Transaction* txn);
   /// Lazy commit: locks are released before the commit record is durable;

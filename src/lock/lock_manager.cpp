@@ -14,29 +14,40 @@
 
 namespace ariesim {
 
+void LockManager::Enlist(TxnId txn) {
+  TxnLockState*& hint = hint_.Local();
+  TxnId free = kInvalidTxnId;
+  if (hint == nullptr ||
+      !hint->owner.compare_exchange_strong(free, txn,
+                                           std::memory_order_acquire)) {
+    FindState(txn, /*create=*/true);
+  }
+}
+
 LockManager::TxnLockState* LockManager::FindState(TxnId txn, bool create) {
-  if (hint_manager_ == id_ &&
-      hint_state_->owner.load(std::memory_order_acquire) == txn) {
-    return hint_state_;
+  TxnLockState*& hint = hint_.Local();
+  if (hint != nullptr && hint->owner.load(std::memory_order_acquire) == txn) {
+    return hint;
   }
   // Only the owning transaction recycles its state (ReleaseAll), so the
   // pointer outlives the registry lock.
-  TxnShard& ts = TxnShardOf(txn);
-  std::lock_guard<std::mutex> lk(ts.mu);
-  size_t i = 0;
-  while (i < ts.active &&
-         ts.states[i]->owner.load(std::memory_order_relaxed) != txn) {
-    ++i;
-  }
-  if (i == ts.active) {
-    if (!create) return nullptr;
-    if (i == ts.states.size()) {
-      ts.states.push_back(std::make_unique<TxnLockState>());
+  std::lock_guard<std::mutex> lk(registry_mu_);
+  for (auto& st : states_) {
+    if (st->owner.load(std::memory_order_acquire) == txn) {
+      return hint = st.get();
     }
-    ts.states[ts.active++]->owner.store(txn, std::memory_order_release);
   }
-  hint_manager_ = id_;
-  return hint_state_ = ts.states[i].get();
+  if (!create) return nullptr;
+  for (auto& st : states_) {
+    TxnId free = kInvalidTxnId;
+    if (st->owner.compare_exchange_strong(free, txn,
+                                          std::memory_order_acquire)) {
+      return hint = st.get();
+    }
+  }
+  states_.push_back(std::make_unique<TxnLockState>());
+  states_.back()->owner.store(txn, std::memory_order_relaxed);
+  return hint = states_.back().get();
 }
 
 bool LockManager::Compatible(const Head& h, LockMode want,
@@ -458,12 +469,7 @@ void LockManager::ReleaseAll(TxnId txn) {
   if (st->index.slots.size() > kKeepIndex) st->index.slots = {};
   std::fill(st->index.slots.begin(), st->index.slots.end(), nullptr);
   st->index.used = 0;
-  TxnShard& ts = TxnShardOf(txn);
-  std::lock_guard<std::mutex> lk(ts.mu);
-  size_t i = 0;
-  while (ts.states[i].get() != st) ++i;
   st->owner.store(kInvalidTxnId, std::memory_order_release);
-  std::swap(ts.states[i], ts.states[--ts.active]);
 }
 
 bool LockManager::Holds(TxnId txn, const LockName& name, LockMode mode) {
@@ -475,13 +481,13 @@ bool LockManager::Holds(TxnId txn, const LockName& name, LockMode mode) {
 LockTableSnapshot LockManager::SnapshotAllLocked(uint64_t now_ns) {
   LockTableSnapshot snap;
   snap.captured_at_ns = now_ns;
-  for (TxnShard& ts : txn_shards_) {
-    std::lock_guard<std::mutex> lk(ts.mu);
-    for (size_t i = 0; i < ts.active; ++i) {
+  {
+    std::lock_guard<std::mutex> lk(registry_mu_);
+    for (auto& st : states_) {
       TxnLockInfo ti;
-      ti.txn = ts.states[i]->owner.load(std::memory_order_relaxed);
-      ti.held = ts.states[i]->held.load(std::memory_order_relaxed);
-      snap.txns.push_back(ti);
+      ti.txn = st->owner.load(std::memory_order_relaxed);
+      ti.held = st->held.load(std::memory_order_relaxed);
+      if (ti.txn != kInvalidTxnId) snap.txns.push_back(ti);
     }
   }
   std::sort(snap.txns.begin(), snap.txns.end(),

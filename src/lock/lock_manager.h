@@ -28,6 +28,7 @@
 #include "common/contention.h"
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/thread_cache.h"
 #include "common/types.h"
 #include "lock/lock_forensics.h"
 #include "lock/lock_mode.h"
@@ -62,8 +63,6 @@ class LockManager {
   /// Latch words are not mutexes, so ThreadSanitizer's cap on mutexes one
   /// thread may hold does not bound this count.
   static constexpr size_t kNameShards = 256;
-  /// The transaction registry's shard count, independent of kNameShards.
-  static constexpr size_t kTxnShards = 16;
   /// Which shard `name` lives in (tests use it to spread names).
   static size_t ShardIndex(const LockName& name) {
     return (Mix(name) >> 32) % kNameShards;
@@ -81,6 +80,12 @@ class LockManager {
   /// status message carries the one-line cycle summary of the postmortem.
   Status Lock(TxnId txn, const LockName& name, LockMode mode,
               LockDuration duration, bool conditional);
+
+  /// Give `txn`, which must have no lock state yet, one now: this thread's
+  /// hinted state if it is free (a CAS on a line no other thread writes in
+  /// steady state), else one from the registry. Optional: Lock() creates
+  /// the state on first use otherwise, after a registry lookup.
+  void Enlist(TxnId txn);
 
   /// Release one manual-duration lock.
   void Unlock(TxnId txn, const LockName& name);
@@ -215,8 +220,9 @@ class LockManager {
   static constexpr size_t kChunkRequests = 64;
   static constexpr size_t kKeepIndex = 256;  // slots a recycled index keeps
   using Chunk = std::array<Request, kChunkRequests>;
-  /// Per-transaction lock state, recycled through its registry shard. Only
-  /// the owning transaction touches `chunks`, `count` and `index`.
+  /// Per-transaction lock state: live while `owner` names a transaction,
+  /// claimed by a CAS from kInvalidTxnId and recycled by a release store of
+  /// it. Only the owning transaction touches `chunks`, `count` and `index`.
   struct TxnLockState {
     std::atomic<TxnId> owner{kInvalidTxnId};
     /// Granted requests; changed under the granted name's shard latch.
@@ -242,13 +248,6 @@ class LockManager {
     RwLatch latch;
     FlatTable<Head> heads;
   };
-  /// [0, active) are live transactions' states, the rest recycled ones,
-  /// freed only with the manager (so a hint naming it is live memory).
-  struct alignas(64) TxnShard {
-    std::mutex mu;
-    std::vector<std::unique_ptr<TxnLockState>> states;
-    size_t active = 0;
-  };
   /// Latches every name shard, in index order, for as long as it lives.
   struct AllShards {
     explicit AllShards(LockManager* lm) : shards(lm->shards_) {
@@ -266,7 +265,6 @@ class LockManager {
     return LockNameHash()(name) * 0x9e3779b97f4a7c15ull;
   }
   Shard& ShardOf(const LockName& name) { return shards_[ShardIndex(name)]; }
-  TxnShard& TxnShardOf(TxnId txn) { return txn_shards_[txn % kTxnShards]; }
   /// The transaction's state, through this thread's hint or the registry;
   /// nullptr if it has none and `create` is false.
   TxnLockState* FindState(TxnId txn, bool create = false);
@@ -323,17 +321,16 @@ class LockManager {
   /// shard.
   void MaybeRearmWatchdog();
 
-  static inline std::atomic<uint64_t> next_id_{1};
-  /// The calling thread's last state: valid only while hint_manager_ is
-  /// this manager's id_ (ids start at 1), and only for the transaction the
-  /// state's `owner` names.
-  static inline thread_local uint64_t hint_manager_ = 0;
-  static inline thread_local TxnLockState* hint_state_ = nullptr;
-  const uint64_t id_ = next_id_.fetch_add(1, std::memory_order_relaxed);
+  /// The calling thread's last state; it serves only the transaction its
+  /// `owner` names.
+  ThreadCache<LockManager, TxnLockState*> hint_;
   Metrics* metrics_;
   LockObserver observer_;
   std::array<Shard, kNameShards> shards_;
-  std::array<TxnShard, kTxnShards> txn_shards_;
+  /// Every state, live or free, freed only with the manager (so a hint
+  /// naming one is live memory). Grows and is walked under registry_mu_.
+  std::mutex registry_mu_;
+  std::vector<std::unique_ptr<TxnLockState>> states_;
   Contention contention_;  // lock-free
 
   // Forensics, under forensics_mu_ (which ranks after every other lock).

@@ -294,10 +294,6 @@ Status RecoveryManager::UndoPass(const AnalysisResult& ar, RestartStats* stats) 
   for (Transaction* t : losers) {
     ARIES_RETURN_NOT_OK(ctx_->txns->EndTransaction(t, TxnState::kAborted));
   }
-  // Winners that committed but lack an end record just get forgotten.
-  for (auto& [id, info] : ar.txns) {
-    if (info.committed) ctx_->txns->Forget(id);
-  }
   return Status::OK();
 }
 

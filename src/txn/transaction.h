@@ -1,9 +1,11 @@
 // Transaction object: log-chain anchors (LastLSN / UndoNxtLSN), state,
-// savepoints, and nested-top-action bracketing (paper §1.2).
+// savepoints, and nested-top-action bracketing (paper §1.2). Objects are
+// slots that TransactionManager recycles from one transaction to the next.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -19,12 +21,10 @@ enum class TxnState : uint8_t {
   kAborted = 3,
 };
 
-class Transaction {
+class alignas(64) Transaction {
  public:
-  explicit Transaction(TxnId id) : id_(id) {}
-
-  TxnId id() const { return id_; }
-  // State and chain anchors are relaxed atomics: only the owning thread
+  TxnId id() const { return id_.load(std::memory_order_relaxed); }
+  // Id, state and chain anchors are relaxed atomics: only the owning thread
   // mutates them, but fuzzy checkpoints (TransactionManager::Snapshot) read
   // them concurrently. Analysis tolerates a stale value by re-checking the
   // log record a snapshotted LastLSN points at.
@@ -75,7 +75,22 @@ class Transaction {
   const CommitBreakdown& breakdown() const { return breakdown_; }
 
  private:
-  TxnId id_;
+  friend class TransactionManager;
+  /// Ready a claimed slot for transaction `id`.
+  void Reset(TxnId id) {
+    id_.store(id, std::memory_order_relaxed);
+    set_state(TxnState::kActive);
+    set_last_lsn(kNullLsn);
+    set_undo_next_lsn(kNullLsn);
+    nta_stack_.clear();
+    breakdown_.Reset();
+  }
+
+  /// Set while a transaction runs in this slot; claimed by CAS.
+  std::atomic<bool> in_use_{false};
+  /// Makes the {log append, LastLSN update} pair atomic against Snapshot().
+  std::mutex mu_;
+  std::atomic<TxnId> id_{kInvalidTxnId};
   std::atomic<TxnState> state_{TxnState::kActive};
   std::atomic<Lsn> last_lsn_{kNullLsn};
   std::atomic<Lsn> undo_next_lsn_{kNullLsn};

@@ -9,20 +9,44 @@
 namespace ariesim {
 
 Transaction* TransactionManager::Begin() {
-  return Insert(std::make_unique<Transaction>(
-      next_id_.fetch_add(1, std::memory_order_relaxed)));
+  Transaction* txn = Claim(next_id_.fetch_add(1, std::memory_order_relaxed));
+  locks_->Enlist(txn->id());
+  return txn;
 }
 
-Transaction* TransactionManager::Insert(std::unique_ptr<Transaction> txn) {
-  Transaction* raw = txn.get();
-  Shard& sh = ShardFor(raw->id());
-  std::lock_guard<std::mutex> lk(sh.mu);
-  sh.table[raw->id()] = std::move(txn);
-  return raw;
+Transaction* TransactionManager::Claim(TxnId id) {
+  Transaction*& cached = cache_.Local();
+  if (cached == nullptr || !TryClaim(cached)) {
+    std::lock_guard<std::mutex> lk(registry_mu_);
+    cached = nullptr;
+    for (auto& t : slots_) {
+      if (TryClaim(t.get())) {
+        cached = t.get();
+        break;
+      }
+    }
+    if (cached == nullptr) {
+      cached = slots_.emplace_back(std::make_unique<Transaction>()).get();
+      cached->in_use_.store(true, std::memory_order_relaxed);
+    }
+  }
+  cached->Reset(id);
+  return cached;
+}
+
+void TransactionManager::Release(Transaction* txn) {
+  // LastLSN goes back to null before the slot is free: a later claimer's
+  // appends must not be followed by this one's store, and Snapshot() reports
+  // every slot whose LastLSN is set.
+  if (txn->last_lsn() != kNullLsn) {
+    std::lock_guard<std::mutex> lk(txn->mu_);
+    txn->set_last_lsn(kNullLsn);
+  }
+  txn->in_use_.store(false, std::memory_order_release);
 }
 
 Result<Lsn> TransactionManager::AppendTxnLog(Transaction* txn, LogRecord* rec) {
-  // The shard mutex makes the {log append, LastLSN/UndoNxtLSN update} pair
+  // The slot mutex makes the {log append, LastLSN/UndoNxtLSN update} pair
   // atomic with respect to Snapshot(). Without it a fuzzy checkpoint can
   // capture a LastLSN that lags the log: the snapshot then claims a
   // transaction's final record is an update even though its commit record
@@ -30,7 +54,7 @@ Result<Lsn> TransactionManager::AppendTxnLog(Transaction* txn, LogRecord* rec) {
   // can only see records at or after the begin-checkpoint — would adopt the
   // committed transaction as a loser and roll it back. Appends are already
   // serialized by the log's own mutex, so this adds no meaningful contention.
-  std::lock_guard<std::mutex> lk(ShardFor(txn->id()).mu);
+  std::lock_guard<std::mutex> lk(txn->mu_);
   rec->txn_id = txn->id();
   rec->prev_lsn = txn->last_lsn();
   ARIES_ASSIGN_OR_RETURN(Lsn lsn, log_->Append(rec));
@@ -63,11 +87,11 @@ Status TransactionManager::CommitImpl(Transaction* txn, bool lazy) {
   // Commit latency = append + durability wait + lock release, i.e. what the
   // caller of Database::Commit experiences. Lazy commits record their
   // (short) append+enqueue window: that is still what the caller observes.
+  ARIES_RETURN_NOT_OK(CheckRunning(txn));
   ScopedLatency timer(metrics_ != nullptr ? &metrics_->commit_latency
                                           : nullptr);
   ARIES_TRACE_SPAN(span, lazy ? "txn.commit_async" : "txn.commit",
                    TraceCat::kTxn, txn->id());
-  const TxnId id = txn->id();
   {
     // Adopt the thread's operation-phase wait accumulation (best-effort: it is
     // exact for the common one-transaction-per-thread pattern), then rebind
@@ -121,8 +145,8 @@ Status TransactionManager::CommitImpl(Transaction* txn, bool lazy) {
     }
     ARIES_RETURN_NOT_OK(WriteEndAndRelease(txn, TxnState::kCommitted));
     HarvestBreakdown(txn);
-  }  // unbinds the breakdown before Forget frees `txn`
-  Forget(id);
+  }  // unbinds the breakdown before Release hands `txn` on
+  Release(txn);
   return Status::OK();
 }
 
@@ -151,7 +175,7 @@ void TransactionManager::HarvestBreakdown(const Transaction* txn) {
 Status TransactionManager::EndTransaction(Transaction* txn,
                                           TxnState final_state) {
   ARIES_RETURN_NOT_OK(WriteEndAndRelease(txn, final_state));
-  Forget(txn->id());
+  Release(txn);
   return Status::OK();
 }
 
@@ -159,7 +183,7 @@ Status TransactionManager::WriteEndAndRelease(Transaction* txn,
                                               TxnState final_state) {
   // Publish the outcome before the end record hits the log: a fuzzy
   // checkpoint snapshotting this entry between the end-record append and
-  // Forget() must not see a stale kActive for a resolved transaction.
+  // Release() must not see a stale kActive for a resolved transaction.
   txn->set_state(final_state);
   // A transaction that logged nothing is invisible to analysis: no end
   // record, and Snapshot() leaves it out of checkpoints.
@@ -177,6 +201,7 @@ Status TransactionManager::WriteEndAndRelease(Transaction* txn,
 }
 
 Status TransactionManager::Rollback(Transaction* txn) {
+  ARIES_RETURN_NOT_OK(CheckRunning(txn));
   ARIES_TRACE_SPAN(span, "txn.rollback", TraceCat::kTxn, txn->id());
   txn->set_state(TxnState::kRollingBack);
   if (txn->last_lsn() != kNullLsn) {
@@ -194,47 +219,50 @@ Status TransactionManager::RollbackToSavepoint(Transaction* txn, Lsn savepoint) 
 
 Transaction* TransactionManager::AdoptRestored(TxnId id, Lsn last_lsn,
                                                Lsn undo_next_lsn) {
-  auto txn = std::make_unique<Transaction>(id);
-  txn->set_last_lsn(last_lsn);
-  txn->set_undo_next_lsn(undo_next_lsn);
-  txn->set_state(TxnState::kRollingBack);
-  Transaction* raw = Insert(std::move(txn));
+  Transaction* txn = Claim(id);
+  {
+    std::lock_guard<std::mutex> lk(txn->mu_);  // as an append would
+    txn->set_last_lsn(last_lsn);
+    txn->set_undo_next_lsn(undo_next_lsn);
+    txn->set_state(TxnState::kRollingBack);
+  }
   TxnId next = next_id_.load(std::memory_order_relaxed);
   while (next <= id && !next_id_.compare_exchange_weak(next, id + 1)) {
   }
-  return raw;
-}
-
-void TransactionManager::Forget(TxnId id) {
-  Shard& sh = ShardFor(id);
-  decltype(sh.table)::node_type ended;  // freed after the mutex is released
-  std::lock_guard<std::mutex> lk(sh.mu);
-  ended = sh.table.extract(id);
+  return txn;
 }
 
 std::vector<TxnTableEntry> TransactionManager::Snapshot() {
-  std::array<std::unique_lock<std::mutex>, kShards> locks;
-  for (size_t i = 0; i < kShards; ++i) {
-    locks[i] = std::unique_lock<std::mutex>(shards_[i].mu);
-  }
+  // Each entry must be read atomically with its transaction's append pair,
+  // not with the others': the begin-checkpoint record precedes this call,
+  // so whatever a transaction appends after its entry is read lands after
+  // it, where analysis will find it. So the slots are locked one at a time.
+  std::lock_guard<std::mutex> reg(registry_mu_);
   std::vector<TxnTableEntry> out;
-  for (Shard& sh : shards_) {
-    for (auto& [id, txn] : sh.table) {
-      // Logged nothing yet: under its shard, any first record it appends
-      // lands after the begin-checkpoint, where analysis will find it.
-      if (txn->last_lsn() == kNullLsn) continue;
-      out.push_back(TxnTableEntry{id, txn->state(), txn->last_lsn(),
-                                  txn->undo_next_lsn()});
-    }
+  for (auto& txn : slots_) {
+    std::lock_guard<std::mutex> lk(txn->mu_);
+    // Free, or logged nothing yet (its first record lands after the
+    // begin-checkpoint).
+    if (txn->last_lsn() == kNullLsn) continue;
+    out.push_back(TxnTableEntry{txn->id(), txn->state(), txn->last_lsn(),
+                                txn->undo_next_lsn()});
   }
   return out;
 }
 
 Transaction* TransactionManager::Find(TxnId id) {
-  Shard& sh = ShardFor(id);
-  std::lock_guard<std::mutex> lk(sh.mu);
-  auto it = sh.table.find(id);
-  return it == sh.table.end() ? nullptr : it->second.get();
+  std::lock_guard<std::mutex> lk(registry_mu_);
+  for (auto& txn : slots_) {
+    if (txn->in_use_.load(std::memory_order_acquire) && txn->id() == id) {
+      return txn.get();
+    }
+  }
+  return nullptr;
+}
+
+size_t TransactionManager::SlotCount() {
+  std::lock_guard<std::mutex> lk(registry_mu_);
+  return slots_.size();
 }
 
 }  // namespace ariesim

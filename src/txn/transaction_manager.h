@@ -3,15 +3,14 @@
 // normal and restart undo share one code path), and nested top actions.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "common/thread_cache.h"
 #include "common/types.h"
 #include "lock/lock_manager.h"
 #include "txn/transaction.h"
@@ -38,10 +37,13 @@ class TransactionManager {
   /// Late wiring (RecoveryManager also needs this object).
   void SetRecovery(RecoveryManager* r) { recovery_ = r; }
 
+  /// Claims this thread's cached slot, or one from the registry when that
+  /// slot is busy or missing; allocates only when every slot is in use.
   Transaction* Begin();
   /// Commit record + log force + lock release. A transaction that logged
   /// nothing writes no record and forces only a still-volatile lazy commit
-  /// it may have read from (lazy_commit_end_).
+  /// it may have read from (lazy_commit_end_). Commit, CommitAsync and
+  /// Rollback return InvalidArgument for a transaction that has ended.
   Status Commit(Transaction* txn) { return CommitImpl(txn, /*lazy=*/false); }
   /// Lazy (asynchronous-durability) commit: append the commit record,
   /// request — but do not await — its group flush, and release locks
@@ -73,22 +75,38 @@ class TransactionManager {
 
   /// Recreate a transaction during restart (analysis pass).
   Transaction* AdoptRestored(TxnId id, Lsn last_lsn, Lsn undo_next_lsn);
-  /// Remove an ended transaction from the table and free it.
-  void Forget(TxnId id);
 
   std::vector<TxnTableEntry> Snapshot();
+  /// The running transaction `id`, or nullptr.
   Transaction* Find(TxnId id);
+  /// Slots ever allocated (in use or free).
+  size_t SlotCount();
 
   /// End-of-rollback / restart-undo bookkeeping: write the end record,
-  /// release all locks and Forget the transaction. On OK `txn` is freed.
+  /// release all locks and the slot. On OK `txn` has ended.
   Status EndTransaction(Transaction* txn, TxnState final_state);
 
   LockManager* locks() { return locks_; }
   LogManager* log() { return log_; }
 
  private:
-  /// Commit/CommitAsync. On OK `txn` is freed.
+  /// Commit/CommitAsync. On OK `txn` has ended.
   Status CommitImpl(Transaction* txn, bool lazy);
+  /// A slot for transaction `id`: the cached one if it is free, else one
+  /// claimed or allocated under registry_mu_.
+  Transaction* Claim(TxnId id);
+  /// End `txn`'s use of its slot.
+  void Release(Transaction* txn);
+  static bool TryClaim(Transaction* t) {
+    bool free = false;
+    return t->in_use_.compare_exchange_strong(free, true,
+                                              std::memory_order_acquire);
+  }
+  static Status CheckRunning(const Transaction* txn) {
+    return txn->in_use_.load(std::memory_order_relaxed)
+               ? Status::OK()
+               : Status::InvalidArgument("transaction has ended");
+  }
   /// Publish `final_state`, write the end record if the transaction logged
   /// anything, and release its locks. `txn` stays in the table.
   Status WriteEndAndRelease(Transaction* txn, TxnState final_state);
@@ -106,20 +124,14 @@ class TransactionManager {
   /// Byte just past the highest lazy commit record (an atomic max).
   std::atomic<Lsn> lazy_commit_end_{kNullLsn};
 
-  /// The transaction table, split by id. A transaction's shard also makes
-  /// its {log append, LastLSN update} pair atomic against Snapshot(), which
-  /// holds every shard.
-  struct alignas(64) Shard {
-    std::mutex mu;
-    std::unordered_map<TxnId, std::unique_ptr<Transaction>> table;
-  };
-  static constexpr size_t kShards = 16;
-  Shard& ShardFor(TxnId id) { return shards_[id % kShards]; }
-  /// Adds `txn` to its shard; returns it.
-  Transaction* Insert(std::unique_ptr<Transaction> txn);
-
   std::atomic<TxnId> next_id_{1};
-  std::array<Shard, kShards> shards_;
+  /// The transaction table: every slot, in use or free, freed only with the
+  /// manager (so a cached or ended pointer is live memory). Grows and is
+  /// walked under registry_mu_; a slot changes hands by CAS on `in_use_`.
+  std::mutex registry_mu_;
+  std::vector<std::unique_ptr<Transaction>> slots_;
+  /// The slot this thread last claimed.
+  ThreadCache<TransactionManager, Transaction*> cache_;
 };
 
 }  // namespace ariesim

@@ -98,6 +98,35 @@ TEST(DatabaseTest, RollbackUndoesEverything) {
   EXPECT_EQ(keys, 1u);
 }
 
+TEST(DatabaseTest, EndedTransactionIsRejected) {
+  TempDir dir("db_ended");
+  auto db = std::move(Database::Open(dir.path(), SmallPageOptions())).value();
+  Table* t = db->CreateTable("kv", 2).value();
+  ASSERT_TRUE(db->CreateIndex("kv", "kv_pk", 0, true).ok());
+
+  Transaction* committed = db->Begin();
+  ASSERT_OK(t->Insert(committed, {"a", "x"}));
+  ASSERT_OK(db->Commit(committed));
+  Transaction* rolled_back = db->Begin();
+  ASSERT_OK(t->Insert(rolled_back, {"b", "y"}));
+  ASSERT_OK(db->Rollback(rolled_back));
+  const Lsn end = db->wal()->next_lsn();
+  for (Transaction* ended : {committed, rolled_back}) {
+    EXPECT_EQ(db->Commit(ended).code(), Code::kInvalidArgument);
+    EXPECT_EQ(db->CommitAsync(ended).code(), Code::kInvalidArgument);
+    EXPECT_EQ(db->Rollback(ended).code(), Code::kInvalidArgument);
+  }
+  EXPECT_EQ(db->wal()->next_lsn(), end) << "an ended transaction logged";
+
+  Transaction* check = db->Begin();
+  std::optional<Row> row;
+  ASSERT_OK(t->FetchByKey(check, "kv_pk", "a", &row));
+  EXPECT_TRUE(row.has_value());
+  ASSERT_OK(t->FetchByKey(check, "kv_pk", "b", &row));
+  EXPECT_FALSE(row.has_value());
+  ASSERT_OK(db->Commit(check));
+}
+
 TEST(DatabaseTest, UniqueViolationIsStatementAtomic) {
   TempDir dir("db_uni");
   auto db = std::move(Database::Open(dir.path(), SmallPageOptions())).value();

@@ -312,12 +312,12 @@ TEST(LockManagerHintTest, HintDoesNotOutliveItsManager) {
 }
 
 TEST(LockManagerHintTest, HintMissesARecycledState) {
-  // Txns 7 and 7 + kTxnShards share a registry shard, so the second reuses
-  // the state the first released. This thread's hint still points at that
-  // state under txn 7; its next request must not land in the other's.
+  // Another thread, with no hint of its own, claims the registry's first
+  // free state: the one txn 7 released. This thread's hint still points at
+  // that state under txn 7; its next request must not land in the other's.
   Metrics m;
   LockManager lm(&m);
-  const TxnId other = 7 + LockManager::kTxnShards;
+  const TxnId other = 8;
   ASSERT_TRUE(
       lm.Lock(7, NameA(), LockMode::kS, LockDuration::kCommit, false).ok());
   lm.ReleaseAll(7);
